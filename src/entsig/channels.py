@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, _PAULI, _freeze, kron_all, require_hermitian
+from .core import DensityMatrix, _PAULI, _freeze, require_hermitian
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -40,26 +40,39 @@ def bit_flip_channel(p: float) -> SingleQubitChannel:
     return SingleQubitChannel((k0, k1), name=f"bitflip({p:g})")
 
 
+def _apply_kraus(m: np.ndarray, kraus_ops, qubit: int) -> np.ndarray:
+    """sum_k K_q m K_q^dag on a plain 2**n x 2**n matrix, where K_q acts as K
+    on ``qubit`` and as the identity elsewhere.
+
+    Viewing m as (a, 2, c, a, 2, c) with a = 2**qubit, each Kraus operator is
+    contracted on the qubit's row axis, then (conjugated) on its column axis,
+    without building 2**n x 2**n Kronecker products.
+    """
+    d = m.shape[0]
+    a = 2**qubit
+    c = d // (2 * a)
+    out = np.zeros_like(m)
+    for k in kraus_ops:
+        rows = (k @ m.reshape(a, 2, c * d)).reshape(d * a, 2, c)
+        out += (k.conj() @ rows).reshape(d, d)
+    return out
+
+
 def apply_local(rho: DensityMatrix, channel: SingleQubitChannel, qubit: int) -> DensityMatrix:
     """Apply a single-qubit channel to one qubit (0-based, qubit 0 = leftmost)."""
     n = rho.n_qubits
     if not 0 <= qubit < n:
         raise ValueError(f"qubit index {qubit} out of range for {n} qubits")
-    left = np.eye(2**qubit, dtype=complex)
-    right = np.eye(2 ** (n - qubit - 1), dtype=complex)
-    out = np.zeros_like(rho.matrix)
-    for k in channel.kraus_ops:
-        op = kron_all([left, k, right])
-        out += op @ rho.matrix @ op.conj().T
-    return DensityMatrix(n, out, tol=rho.tol)
+    return DensityMatrix(n, _apply_kraus(rho.matrix, channel.kraus_ops, qubit), tol=rho.tol)
 
 
 def apply_to_all(rho: DensityMatrix, channel: SingleQubitChannel) -> DensityMatrix:
-    """Apply the same single-qubit channel independently to every qubit."""
-    out = rho
+    """Apply the same single-qubit channel independently to every qubit; the
+    result is validated once, at the end."""
+    m = rho.matrix
     for q in range(rho.n_qubits):
-        out = apply_local(out, channel, q)
-    return out
+        m = _apply_kraus(m, channel.kraus_ops, q)
+    return DensityMatrix(rho.n_qubits, m, tol=rho.tol)
 
 
 def white_noise(rho: DensityMatrix, q: float) -> DensityMatrix:

@@ -69,13 +69,18 @@ class SingleQubitObservable:
         if np.max(np.abs(m @ m - np.eye(2))) > DEFAULT.dichotomic:
             raise ValueError(f"observable {self.label!r} does not square to identity")
         self.matrix = _freeze(m)
+        self._eigenbasis = None
 
     def eigenbasis(self) -> np.ndarray:
-        """Columns [v_plus, v_minus]: the +1 then -1 eigenvectors."""
-        vals, vecs = hermitian_eig(self.matrix)
-        if vals[1] - vals[0] > 1.0:  # genuinely dichotomic: (-1, +1)
-            return np.ascontiguousarray(vecs[:, ::-1])
-        return vecs  # identity-like: both eigenvalues +1, any basis works
+        """Columns [v_plus, v_minus]: the +1 then -1 eigenvectors (read-only,
+        computed once per observable)."""
+        if self._eigenbasis is None:
+            vals, vecs = hermitian_eig(self.matrix)
+            if vals[1] - vals[0] > 1.0:  # genuinely dichotomic: (-1, +1)
+                vecs = np.ascontiguousarray(vecs[:, ::-1])
+            # else identity-like: both eigenvalues +1, any basis works
+            self._eigenbasis = _freeze(vecs)
+        return self._eigenbasis
 
 
 def pauli(label: str) -> SingleQubitObservable:
@@ -139,10 +144,10 @@ class PureState:
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator on n qubits.
 
-    Eigenvalues in [-psd, -psd_clamp) are accepted as round-off; anything in
-    [-psd_clamp, 0) after repeated channel application gets clamped to zero
-    (with trace renormalization) so that noise pipelines cannot accumulate
-    unphysical negativity.
+    Eigenvalues below -psd are rejected.  Eigenvalues in [-psd, -psd_clamp)
+    are clamped to zero (with trace renormalization) so that noise pipelines
+    cannot hand on unphysical negativity; those in [-psd_clamp, 0) are left
+    alone as round-off.
     """
 
     n_qubits: int

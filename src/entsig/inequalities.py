@@ -29,19 +29,22 @@ from .tolerances import DEFAULT, Tolerances
 SQRT2 = math.sqrt(2.0)
 
 
+_STANDARD = {label: pauli(label) for label in ("I", "X", "Y", "Z")}
+_STANDARD["A"] = SingleQubitObservable((_STANDARD["X"].matrix + _STANDARD["Y"].matrix) / SQRT2, "A")
+_STANDARD["B"] = SingleQubitObservable((_STANDARD["X"].matrix - _STANDARD["Y"].matrix) / SQRT2, "B")
+
+
 def standard_observable(label: str) -> SingleQubitObservable:
     """Observables addressable by name: Paulis plus the rotated pair A, B.
 
     A = (X + Y)/sqrt(2) and B = (X - Y)/sqrt(2) are the two fourth-party
-    measurement directions of the 16-setting inequality.
+    measurement directions of the 16-setting inequality.  Each label maps to
+    one shared instance, so its eigenbasis is computed once per process.
     """
-    if label in ("I", "X", "Y", "Z"):
-        return pauli(label)
-    if label == "A":
-        return SingleQubitObservable((pauli("X").matrix + pauli("Y").matrix) / SQRT2, "A")
-    if label == "B":
-        return SingleQubitObservable((pauli("X").matrix - pauli("Y").matrix) / SQRT2, "B")
-    raise ValueError(f"unknown observable label {label!r}")
+    try:
+        return _STANDARD[label]
+    except KeyError:
+        raise ValueError(f"unknown observable label {label!r}") from None
 
 
 @dataclass(eq=False)
@@ -116,7 +119,11 @@ class Witness:
 
 @dataclass(eq=False)
 class BellInequality:
-    """<B> <= lhv_bound, with B decomposed into measurement settings."""
+    """<B> <= lhv_bound, with B decomposed into measurement settings.
+
+    ``bases`` stacks the settings' product eigenbases as one read-only
+    (n_settings, 2**n, 2**n) array; each ``setting.basis`` is a view into it.
+    """
 
     name: str
     tag: str
@@ -136,10 +143,23 @@ class BellInequality:
         self.settings = tuple(self.settings)
         self.outcome_coeffs = _freeze(coeffs)
         self.operator = _freeze(np.array(self.operator, dtype=complex))
+        d = 2**self.n_qubits
+        if any(s.n_qubits != self.n_qubits for s in self.settings):
+            raise ValueError("all settings must act on the inequality's qubits")
+        bases = np.empty((len(self.settings), d, d), dtype=complex)
+        for i, s in enumerate(self.settings):
+            bases[i] = s.basis
+            s._basis = _freeze(bases[i])
+        self.bases = _freeze(bases)
 
     @property
     def n_settings(self) -> int:
         return len(self.settings)
+
+    def probabilities(self, rho, tol: Tolerances = DEFAULT) -> np.ndarray:
+        """(n_settings, 2**n) outcome probabilities of every setting, row order
+        as in ``settings``."""
+        return _probability_rows(rho, self.bases, tol)
 
     def setting_index(self, label: str) -> int:
         for i, s in enumerate(self.settings):
@@ -338,19 +358,47 @@ def witness_violation(rho, w: Witness, tol: Tolerances = DEFAULT) -> float:
     return -expectation(rho, w.matrix, tol)
 
 
+# basis entries per kernel chunk: the whole inequality at d = 16, 4 settings at
+# d = 64; larger chunks only grow the temporaries and run slower
+_CHUNK_ENTRIES = 2**14
+
+
+def _probability_rows(rho, bases: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """p[s, o] = <u_so| rho |u_so> for a stack of bases, one row per setting.
+
+    The bulk is real(sum(conj(U) * (rho @ U))) over the row axis, in chunks.
+    BLAS fuses multiply-adds, which leaves a round-off residue where terms
+    cancel exactly, so every outcome within prob_floor of zero is recomputed
+    from separately rounded products.  Outcomes that rho cannot produce then
+    stay exactly 0.0: the zero-error rule and Poisson sampling depend on it.
+    """
+    m = _state_matrix(rho)
+    if m.shape != bases.shape[1:]:
+        raise ValueError("state and setting dimensions differ")
+    step = max(1, _CHUNK_ENTRIES // m.size)
+    p = np.empty(bases.shape[:2])
+    for start in range(0, len(bases), step):
+        u = bases[start:start + step]
+        q = p[start:start + step]
+        q[...] = np.real(np.sum(u.conj() * (m @ u), axis=-2))
+        s, o = np.nonzero(np.abs(q) <= tol.prob_floor)
+        if s.size:
+            cols = u[s, :, o]
+            q[s, o] = np.real(np.einsum("ki,ij,kj->k", cols.conj(), m, cols))
+    lowest = float(p.min())
+    if lowest < -tol.prob_floor:
+        raise ValueError(f"negative outcome probability {lowest:.3e}")
+    np.clip(p, 0.0, None, out=p)
+    sums = p.sum(axis=1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > tol.prob_sum)
+    if bad.size:
+        raise ValueError(f"outcome probabilities sum to {float(sums[bad[0]])!r}")
+    return p
+
+
 def outcome_probabilities(rho, setting: MeasurementSetting, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Probabilities of the 2**n product-eigenbasis outcomes of a setting."""
-    m = _state_matrix(rho)
-    u = setting.basis
-    if m.shape != u.shape:
-        raise ValueError("state and setting dimensions differ")
-    p = np.real(np.einsum("io,ij,jo->o", u.conj(), m, u))
-    if float(p.min()) < -tol.prob_floor:
-        raise ValueError(f"negative outcome probability {p.min():.3e}")
-    p = np.clip(p, 0.0, None)
-    if abs(float(p.sum()) - 1.0) > tol.prob_sum:
-        raise ValueError(f"outcome probabilities sum to {p.sum()!r}")
-    return p
+    return _probability_rows(rho, setting.basis[None], tol)[0]
 
 
 def projector_witness(n: int) -> Witness:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .channels import apply_to_all, bit_flip_channel, white_noise
 from .core import DensityMatrix, PureState, expectation, fidelity_with_pure, ghz_state, variance
-from .inequalities import BellInequality, Witness, ardehali, mermin, outcome_probabilities
+from .inequalities import BellInequality, Witness, ardehali, mermin
 from .tolerances import DEFAULT, Tolerances
 
 NOISE_FAMILIES = ("bitflip", "white")
@@ -177,75 +177,99 @@ def _significance_of(v: float, e: float, tol: Tolerances) -> tuple[float, bool]:
     return 0.0, True
 
 
+def _expected_counts(rho, ineq: BellInequality, budget: ShotBudget, tol: Tolerances) -> np.ndarray:
+    """(n_settings, 2**n) table of N_s * p_{s,o}, from one kernel call."""
+    copies = np.array([budget.copies_for(s.label) for s in ineq.settings])
+    return copies[:, None] * ineq.probabilities(rho, tol)
+
+
 def predicted_counts(rho, ineq: BellInequality, budget: ShotBudget, tol: Tolerances = DEFAULT) -> CountTable:
     """Deterministic expectation of the counting experiment: N_s * p_{s,o}."""
-    table = {}
-    for setting in ineq.settings:
-        n_s = budget.copies_for(setting.label)
-        table[setting.label] = n_s * outcome_probabilities(rho, setting, tol)
-    return CountTable(ineq.name, table, mode="predicted")
+    means = _expected_counts(rho, ineq, budget, tol)
+    return CountTable(ineq.name, {s.label: row for s, row in zip(ineq.settings, means)}, mode="predicted")
 
 
 def sample_counts(rho, ineq: BellInequality, budget: ShotBudget, seed, tol: Tolerances = DEFAULT) -> CountTable:
     """Poisson-sampled counts, one independent draw per outcome.
 
     ``seed`` may be an int or a ``numpy.random.SeedSequence``; a fixed seed
-    reproduces the table bit for bit.
+    reproduces the table bit for bit.  Settings are drawn in order, one
+    ``poisson`` call each.
     """
     rng = np.random.default_rng(seed)
-    table = {}
-    for setting in ineq.settings:
-        n_s = budget.copies_for(setting.label)
-        means = n_s * outcome_probabilities(rho, setting, tol)
-        table[setting.label] = rng.poisson(means)
-    return CountTable(ineq.name, table, mode="sampled")
+    means = _expected_counts(rho, ineq, budget, tol)
+    return CountTable(ineq.name, {s.label: rng.poisson(row) for s, row in zip(ineq.settings, means)}, mode="sampled")
 
 
-def setting_estimate(counts, coeffs, tol: Tolerances = DEFAULT) -> tuple[float, float]:
-    """Mean and Gaussian-propagated error of one setting.
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, each rounded exactly as ``a[s] @ b[s]``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
-    When every outcome that actually occurred carries the same coefficient
-    (stabilizer measurements, single-outcome support), the mean equals that
-    coefficient and the error is exactly zero; the general formula only
-    blurs this with round-off.
+
+def setting_estimates(counts, coeffs, tol: Tolerances = DEFAULT) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Means, Gaussian-propagated errors and total counts of a stack of settings.
+
+    ``counts`` and ``coeffs`` are (n_settings, n_outcomes) arrays, one row per
+    setting.  When every outcome that actually occurred in a row carries the
+    same coefficient (stabilizer measurements, single-outcome support), that
+    row's mean equals the first such coefficient and its error is exactly
+    zero; the general formula only blurs this with round-off.
     """
     n = np.asarray(counts, dtype=float)
     lam = np.asarray(coeffs, dtype=float)
-    if n.shape != lam.shape:
+    if n.shape != lam.shape or n.ndim != 2:
         raise ValueError("counts and coefficients must have matching shape")
     if np.any(n < 0):
         raise ValueError("negative counts")
-    n_tot = float(n.sum())
-    if n_tot <= 0:
+    n_tot = n.sum(axis=1)
+    if np.any(n_tot <= 0):
         raise ValueError("no events recorded in this setting")
-    supported = lam[n > 0]
-    if float(supported.max() - supported.min()) <= tol.coeff_spread:
-        return float(supported[0]), 0.0
-    mean = float(lam @ n) / n_tot
-    err_sq = float(((lam - mean) ** 2) @ n) / (n_tot * n_tot)
-    return mean, math.sqrt(err_sq)
+    supported = n > 0
+    spread = np.where(supported, lam, -np.inf).max(axis=1) - np.where(supported, lam, np.inf).min(axis=1)
+    flat = spread <= tol.coeff_spread
+    mean = _row_dot(lam, n) / n_tot
+    err_sq = _row_dot((lam - mean[:, None]) ** 2, n) / (n_tot * n_tot)
+    first = lam[np.arange(len(lam)), supported.argmax(axis=1)]
+    return np.where(flat, first, mean), np.where(flat, 0.0, np.sqrt(err_sq)), n_tot
+
+
+def setting_estimate(counts, coeffs, tol: Tolerances = DEFAULT) -> tuple[float, float]:
+    """Mean and Gaussian-propagated error of one setting (see
+    ``setting_estimates``)."""
+    mean, err, _ = setting_estimates(np.asarray(counts, dtype=float)[None], np.asarray(coeffs, dtype=float)[None], tol)
+    return float(mean[0]), float(err[0])
 
 
 def evaluate(counts: CountTable, ineq: BellInequality, tol: Tolerances = DEFAULT, metadata: dict | None = None) -> SignificanceReport:
     """Combine all settings of an inequality into (V, E, S).
 
     V = sum of setting means - C_lhv; setting errors add in quadrature since
-    each setting is measured on its own ensemble.
+    each setting is measured on its own ensemble.  The table must belong to
+    ``ineq`` (same name) and hold no setting that ``ineq`` lacks.
     """
-    estimates = []
-    for s_idx, setting in enumerate(ineq.settings):
-        vec = counts.for_setting(setting.label)
-        if vec.size != 2**ineq.n_qubits:
-            raise ValueError(f"setting {setting.label!r} has {vec.size} outcomes, expected {2**ineq.n_qubits}")
-        mean, err = setting_estimate(vec, ineq.outcome_coeffs[s_idx], tol)
-        estimates.append(SettingEstimate(setting.label, mean, err, float(np.sum(vec))))
-    v = float(sum(e.mean for e in estimates)) - ineq.lhv_bound
+    if counts.inequality != ineq.name:
+        raise ValueError(f"count table is for {counts.inequality!r}, not {ineq.name!r}")
+    labels = [s.label for s in ineq.settings]
+    extra = sorted(set(counts.counts) - set(labels))
+    if extra:
+        raise ValueError(f"count table has settings {extra} that {ineq.name!r} lacks")
+    d = 2**ineq.n_qubits
+    rows = []
+    for label in labels:
+        vec = counts.for_setting(label)
+        if vec.size != d:
+            raise ValueError(f"setting {label!r} has {vec.size} outcomes, expected {d}")
+        rows.append(vec)
+    means, errors, totals = setting_estimates(np.array(rows, dtype=float), ineq.outcome_coeffs, tol)
+    estimates = tuple(map(SettingEstimate, labels, means.tolist(), errors.tolist(), totals.tolist()))
+    # left-to-right sums, not numpy's pairwise ones, keep V and E reproducible bit for bit
+    v = sum(est.mean for est in estimates) - ineq.lhv_bound
     e = math.sqrt(sum(est.error**2 for est in estimates))
     s, degenerate = _significance_of(v, e, tol)
     meta = {"inequality": ineq.name, "lhv_bound": ineq.lhv_bound,
             "mode": counts.mode, "total_counts": counts.total()}
     meta.update(metadata or {})
-    return SignificanceReport(v, e, s, degenerate, tuple(estimates), meta)
+    return SignificanceReport(v, e, s, degenerate, estimates, meta)
 
 
 def variance_model_significance(state, test, copies: float | None = None, tol: Tolerances = DEFAULT) -> SignificanceReport:

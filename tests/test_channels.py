@@ -36,6 +36,22 @@ def flip_mixture_oracle(rho, p):
     return out
 
 
+def kron_apply_local(m, channel, qubit, n):
+    """Reference: each Kraus operator padded to 2**n x 2**n with kron."""
+    out = np.zeros_like(m)
+    for k in channel.kraus_ops:
+        op = kron_all([np.eye(2**qubit), k, np.eye(2 ** (n - qubit - 1))])
+        out += op @ m @ op.conj().T
+    return out
+
+
+def random_channel(rng, n_kraus=3):
+    """Kraus operators cut from a random isometry, so sum K^dag K = 1."""
+    g = rng.normal(size=(2 * n_kraus, 2)) + 1j * rng.normal(size=(2 * n_kraus, 2))
+    q, _ = np.linalg.qr(g)
+    return SingleQubitChannel(tuple(q[2 * i:2 * i + 2] for i in range(n_kraus)), "random")
+
+
 class TestBitFlipChannel:
     def test_p_zero_is_identity(self, rho_ghz4):
         out = apply_to_all(rho_ghz4, bit_flip_channel(0.0))
@@ -67,6 +83,17 @@ class TestApplyLocal:
         ident = SingleQubitChannel((np.eye(2, dtype=complex),))
         out = apply_local(rho_ghz4, ident, 2)
         assert np.allclose(out.matrix, rho_ghz4.matrix, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_matches_kron_construction(self, rng, n):
+        rho = random_density(rng, n)
+        channel = random_channel(rng)
+        expected = rho.matrix
+        for q in range(n):
+            got = apply_local(rho, channel, q).matrix
+            assert np.allclose(got, kron_apply_local(rho.matrix, channel, q, n), rtol=0, atol=1e-15)
+            expected = kron_apply_local(expected, channel, q, n)
+        assert np.allclose(apply_to_all(rho, channel).matrix, expected, rtol=0, atol=1e-15)
 
     def test_index_out_of_range(self, rho_ghz4):
         with pytest.raises(ValueError):

@@ -133,6 +133,24 @@ class TestReportCommand:
         code, _, err = run_cli(capsys, "report", "--counts", str(path))
         assert code == 3
 
+    def test_extra_setting_is_data_error(self, tmp_path, capsys, rho_ghz4, mermin4):
+        data = predicted_counts(rho_ghz4, mermin4, ShotBudget.equal_split(8000, mermin4)).to_json_dict()
+        data["settings"].append({"label": "ZZZZ", "counts": [1.0] * 16})
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "report", "--counts", str(path), "--inequality", "mermin")
+        assert code == 3
+        assert "ZZZZ" in err
+
+    def test_table_of_other_inequality_is_data_error(self, tmp_path, capsys, rho_ghz4, mermin4):
+        data = predicted_counts(rho_ghz4, mermin4, ShotBudget.equal_split(8000, mermin4)).to_json_dict()
+        data["inequality"] = "ardehali4"
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "report", "--counts", str(path), "--inequality", "mermin")
+        assert code == 3
+        assert "ardehali4" in err
+
     def test_zero_totals_rejected(self, tmp_path, capsys, rho_ghz4, mermin4):
         budget = ShotBudget.equal_split(8000, mermin4)
         data = predicted_counts(rho_ghz4, mermin4, budget).to_json_dict()

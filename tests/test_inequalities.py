@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -8,11 +9,13 @@ from entsig import (
     DensityMatrix,
     MeasurementSetting,
     ProductObservable,
+    apply_noise,
     ardehali,
     expectation,
     fidelity_with_pure,
     generic_inequality,
     ghz_fidelity_formula,
+    ghz_state,
     inequality_from_json_dict,
     inequality_to_json_dict,
     lhv_bound_bruteforce,
@@ -242,6 +245,53 @@ class TestOutcomeProbabilities:
             p = outcome_probabilities(rho, setting)
             assert p.sum() == pytest.approx(1.0, abs=1e-10)
             assert np.all(p >= 0)
+
+
+def per_setting_einsum(rho, ineq):
+    """Reference: one unoptimized three-operand einsum per setting, clipped at
+    zero; its separately rounded products cancel exactly where rho cannot
+    produce an outcome."""
+    return np.array([
+        np.clip(np.real(np.einsum("io,ij,jo->o", s.basis.conj(), rho.matrix, s.basis)), 0.0, None)
+        for s in ineq.settings
+    ])
+
+
+class TestStackedProbabilities:
+    # bit-flip 0.15 (4q), 0.25 and 0.375 are points where a fused multiply-add
+    # kernel alone turns the Mermin stabilizer's exact zeros into ~1e-17
+    NOISE = (("bitflip", 0.15), ("bitflip", 0.25), ("bitflip", 0.375), ("white", 0.1), ("white", 0.5))
+
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("factory", [mermin, ardehali])
+    def test_matches_per_setting_einsum(self, factory, n):
+        ineq = factory(n)
+        ghz = DensityMatrix.from_pure(ghz_state(n))
+        for rho in [ghz] + [apply_noise(ghz, fam, p) for fam, p in self.NOISE]:
+            ref = per_setting_einsum(rho, ineq)
+            got = ineq.probabilities(rho)
+            assert np.max(np.abs(got - ref)) <= 1e-15
+            assert np.array_equal(got == 0.0, ref == 0.0)
+
+    def test_single_setting_call_is_a_row(self, rng, ardehali4):
+        rho = random_density(rng, 4)
+        rows = ardehali4.probabilities(rho)
+        for s_idx, setting in enumerate(ardehali4.settings):
+            assert np.array_equal(outcome_probabilities(rho, setting), rows[s_idx])
+
+    def test_setting_bases_are_views_into_the_stack(self, mermin4):
+        for s_idx, setting in enumerate(mermin4.settings):
+            assert np.shares_memory(setting.basis, mermin4.bases)
+            expected = functools.reduce(np.kron, [o.eigenbasis() for o in setting.observables])
+            assert np.array_equal(mermin4.bases[s_idx], expected)
+        assert not mermin4.bases.flags.writeable
+
+    def test_standard_observables_are_shared(self):
+        for label in "IXYZAB":
+            obs = standard_observable(label)
+            assert standard_observable(label) is obs
+            assert obs.eigenbasis() is obs.eigenbasis()
+            assert not obs.eigenbasis().flags.writeable
 
 
 class TestOperatorCoefficientConsistency:

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from entsig import (
     CountTable,
@@ -12,6 +15,7 @@ from entsig import (
     apply_noise,
     crossing_point,
     evaluate,
+    ghz_state,
     monte_carlo_study,
     predicted_counts,
     sample_counts,
@@ -22,7 +26,24 @@ from entsig import (
     experimental_ansatz,
     AnsatzParams,
 )
+from entsig.significance import setting_estimates
 from conftest import random_density
+
+
+def scalar_estimate(counts, coeffs, coeff_spread=1e-12):
+    """Reference: the one-setting estimate written as scalar code."""
+    n = np.asarray(counts, dtype=float)
+    lam = np.asarray(coeffs, dtype=float)
+    n_tot = float(n.sum())
+    supported = lam[n > 0]
+    if float(supported.max() - supported.min()) <= coeff_spread:
+        return float(supported[0]), 0.0, n_tot
+    mean = float(lam @ n) / n_tot
+    return mean, math.sqrt(float(((lam - mean) ** 2) @ n) / (n_tot * n_tot)), n_tot
+
+
+COUNT_ROWS = hnp.arrays(np.int64, (3, 8), elements=st.integers(0, 1000))
+COEFF_ROWS = hnp.arrays(np.float64, (3, 8), elements=st.floats(-10, 10))
 
 
 class TestShotBudget:
@@ -88,6 +109,18 @@ class TestSampleCounts:
             supported = parity == (1 if lam0 > 0 else -1)
             assert np.all(counts[~supported] == 0)
 
+    def test_draws_match_per_setting_reference(self, mermin4):
+        # at bit-flip 0.15 a fused multiply-add kernel alone leaves ~1e-17
+        # means on impossible outcomes, and poisson(>0) consumes random numbers
+        rho = apply_noise(DensityMatrix.from_pure(ghz_state(4)), "bitflip", 0.15)
+        budget = ShotBudget.equal_split(8000, mermin4)
+        table = sample_counts(rho, mermin4, budget, seed=11)
+        rng = np.random.default_rng(11)
+        for s in mermin4.settings:
+            p = np.real(np.einsum("io,ij,jo->o", s.basis.conj(), rho.matrix, s.basis))
+            expected = rng.poisson(1000.0 * np.clip(p, 0.0, None))
+            assert np.array_equal(table.for_setting(s.label), expected)
+
     def test_fixed_seed_reproducible(self, rho_ghz4, ardehali4):
         budget = ShotBudget.equal_split(8000, ardehali4)
         t1 = sample_counts(rho_ghz4, ardehali4, budget, seed=42)
@@ -151,6 +184,40 @@ class TestSettingEstimate:
         assert err == pytest.approx(math.sqrt(direct), abs=1e-12)
 
 
+class TestSettingEstimates:
+    def test_rows_match_scalar_formula(self, rng):
+        lam = rng.normal(size=(6, 16))
+        counts = rng.poisson(20.0, size=(6, 16)).astype(float)
+        counts[2] = 0.0
+        counts[2, 5] = 40.0  # single-outcome support
+        counts[4, ::2] = 0.0
+        lam[4, 1::2] = lam[4, 1]  # several outcomes, one coefficient
+        means, errors, totals = setting_estimates(counts, lam)
+        for s_idx in range(6):
+            assert (means[s_idx], errors[s_idx], totals[s_idx]) == scalar_estimate(counts[s_idx], lam[s_idx])
+        assert errors[2] == 0.0 and means[2] == lam[2, 5]
+        assert errors[4] == 0.0 and means[4] == lam[4, 1]
+
+    def test_any_empty_row_rejected(self):
+        with pytest.raises(ValueError, match="no events"):
+            setting_estimates([[1.0, 2.0], [0.0, 0.0]], [[1.0, -1.0], [1.0, -1.0]])
+
+    @settings(deadline=None)
+    @given(counts=COUNT_ROWS, coeffs=COEFF_ROWS)
+    def test_error_is_nonnegative(self, counts, coeffs):
+        assume(np.all(counts.sum(axis=1) > 0))
+        _, errors, _ = setting_estimates(counts, coeffs)
+        assert np.all(errors >= 0.0)
+
+    @settings(deadline=None)
+    @given(counts=COUNT_ROWS, coeffs=COEFF_ROWS, k=st.integers(2, 1000))
+    def test_error_scales_as_inverse_sqrt_of_counts(self, counts, coeffs, k):
+        assume(np.all(counts.sum(axis=1) > 0))
+        _, e1, _ = setting_estimates(counts, coeffs)
+        _, ek, _ = setting_estimates(k * counts, coeffs)
+        assert np.allclose(ek * math.sqrt(k), e1, rtol=1e-9, atol=1e-12)
+
+
 class TestEvaluate:
     def test_perfect_ghz_mermin(self, rho_ghz4, mermin4):
         table = predicted_counts(rho_ghz4, mermin4, ShotBudget.equal_split(8000, mermin4))
@@ -194,6 +261,18 @@ class TestEvaluate:
         table = CountTable(mermin4.name, {"XXXX": np.ones(16)}, mode="predicted")
         with pytest.raises(ValueError, match="no setting"):
             evaluate(table, mermin4)
+
+    def test_table_of_other_inequality_rejected(self, rho_ghz4, mermin4):
+        table = predicted_counts(rho_ghz4, mermin4, ShotBudget.equal_split(8000, mermin4))
+        renamed = CountTable("ardehali4", table.counts, mode="predicted")
+        with pytest.raises(ValueError, match="'ardehali4', not 'mermin4'"):
+            evaluate(renamed, mermin4)
+
+    def test_extra_setting_rejected(self, rho_ghz4, mermin4):
+        table = predicted_counts(rho_ghz4, mermin4, ShotBudget.equal_split(8000, mermin4))
+        counts = dict(table.counts, ZZZZ=np.ones(16))
+        with pytest.raises(ValueError, match="ZZZZ"):
+            evaluate(CountTable(mermin4.name, counts, mode="predicted"), mermin4)
 
     def test_reproduces_violation_for_random_states(self, rng, mermin4, ardehali4):
         for ineq in (mermin4, ardehali4):
