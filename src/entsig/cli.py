@@ -28,6 +28,8 @@ from .inequalities import (
     projector_witness,
 )
 from .significance import (
+    DEFAULT_SPAN,
+    NOISE_FAMILIES,
     CountTable,
     NoCrossingError,
     ShotBudget,
@@ -116,9 +118,9 @@ def _parse_span(text: str | None):
         raise ConfigError(f"--span must look like a:b, got {text!r}") from None
 
 
-def _initial_state(args) -> tuple[DensityMatrix | None, dict]:
+def _initial_state(args) -> tuple[DensityMatrix, dict]:
     if args.state == "ghz":
-        return None, {"state": "ghz"}
+        return DensityMatrix.from_pure(ghz_state(args.qubits)), {"state": "ghz"}
     params = AnsatzParams(args.alpha, args.beta, args.gamma, getattr(args, "lam"))
     if args.qubits != 4:
         raise ConfigError("--state ansatz is a 4-qubit model; use --qubits 4")
@@ -186,8 +188,8 @@ def cmd_sweep(args) -> int:
 
 
 def _default_grid(noise: str) -> np.ndarray:
-    hi = 0.25 if noise == "bitflip" else 0.9
-    return np.linspace(0.0, hi, 200)
+    lo, hi = DEFAULT_SPAN[noise]
+    return np.linspace(lo, hi, 200)
 
 
 def cmd_crossing(args) -> int:
@@ -243,8 +245,6 @@ def cmd_report(args) -> int:
 def cmd_predict(args) -> int:
     state, meta = _initial_state(args)
     ineq = _inequality(args.inequality, args.qubits)
-    if state is None:
-        state = DensityMatrix.from_pure(ghz_state(args.qubits))
     if args.p > 0:
         state = apply_noise(state, args.noise, args.p)
     budget = ShotBudget.equal_split(args.shots, ineq)
@@ -293,8 +293,6 @@ def cmd_montecarlo(args) -> int:
     if args.trials < 100:
         raise ConfigError("--trials must be at least 100")
     state, meta = _initial_state(args)
-    if state is None:
-        state = DensityMatrix.from_pure(ghz_state(args.qubits))
     noisy = apply_noise(state, args.noise, args.p)
     names = ("mermin", "ardehali") if args.inequality == "both" else (args.inequality,)
     payload = {"noise": args.noise, "p": args.p, "qubits": args.qubits,
@@ -331,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep", help="noise sweep table with V/E/S per inequality")
-    p.add_argument("--noise", choices=("bitflip", "white"), default="bitflip")
+    p.add_argument("--noise", choices=NOISE_FAMILIES, default="bitflip")
     p.add_argument("--grid", default=None, help="a:b:k uniform grid (default 200 points)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(p)
@@ -339,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("crossing", help="locate the significance crossover")
-    p.add_argument("--noise", choices=("bitflip", "white"), default="bitflip")
+    p.add_argument("--noise", choices=NOISE_FAMILIES, default="bitflip")
     p.add_argument("--span", default=None, help="a:b search interval for the noise parameter")
     _add_common(p)
     _add_state_args(p)
@@ -354,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("predict", help="emit a count-table file (predicted or sampled)")
-    p.add_argument("--noise", choices=("bitflip", "white"), default="bitflip")
+    p.add_argument("--noise", choices=NOISE_FAMILIES, default="bitflip")
     p.add_argument("--p", type=float, default=0.0, help="noise strength")
     p.add_argument("--inequality", default="mermin")
     p.add_argument("--seed", type=int, default=None,
@@ -372,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_improve)
 
     p = sub.add_parser("montecarlo", help="empirical vs propagated error")
-    p.add_argument("--noise", choices=("bitflip", "white"), default="bitflip")
+    p.add_argument("--noise", choices=NOISE_FAMILIES, default="bitflip")
     p.add_argument("--p", type=float, default=0.05)
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)

@@ -42,6 +42,7 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 
 def require_hermitian(m: np.ndarray, tol: float, what: str = "matrix") -> None:
+    _require_finite(m, what)  # a NaN defect would pass "defect > tol"
     defect = hermiticity_defect(m)
     if defect > tol:
         raise ValueError(f"{what} is not Hermitian (defect {defect:.3e} > {tol:.1e})")
@@ -64,7 +65,6 @@ class SingleQubitObservable:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError("single-qubit observable must be 2x2")
-        _require_finite(m, f"observable {self.label!r}")
         require_hermitian(m, DEFAULT.hermitian, f"observable {self.label!r}")
         if np.max(np.abs(m @ m - np.eye(2))) > DEFAULT.dichotomic:
             raise ValueError(f"observable {self.label!r} does not square to identity")
@@ -161,7 +161,6 @@ class DensityMatrix:
         d = 2**self.n_qubits
         if m.shape != (d, d):
             raise ValueError(f"density matrix must be {d}x{d} for {self.n_qubits} qubits")
-        _require_finite(m, "density matrix")
         require_hermitian(m, self.tol.hermitian, "density matrix")
         tr = float(m.trace().real)
         if abs(tr - 1.0) > self.tol.trace_one:
@@ -261,64 +260,17 @@ def fidelity_with_pure(rho, psi: PureState, tol: Tolerances = DEFAULT) -> float:
     return min(max(f, 0.0), 1.0)
 
 
-def hermitian_eig(m: np.ndarray, tol: Tolerances = DEFAULT, max_sweeps: int = 100):
-    """Eigendecomposition of a Hermitian matrix by cyclic complex Jacobi rotations.
+def hermitian_eig(m: np.ndarray, tol: Tolerances = DEFAULT):
+    """Eigendecomposition of a Hermitian matrix (LAPACK ``eigh``).
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
-    eigenvectors as orthonormal columns.  Sweeps stop once the off-diagonal
-    Frobenius norm drops below ``eig_offdiag`` times the matrix norm.  Fine for
-    the dimensions used here (<= 64); not meant for large matrices.
+    eigenvectors as orthonormal columns.  Input whose entrywise Hermiticity
+    defect exceeds ``op_hermitian`` times max(1, |m|max) is rejected.
     """
-    a = np.array(m, dtype=complex)
+    a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("hermitian_eig expects a square matrix")
     mag = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
     require_hermitian(a, tol.op_hermitian * mag)
-    d = a.shape[0]
-    v = np.eye(d, dtype=complex)
-    a = (a + a.conj().T) / 2.0
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return np.zeros(d), v
-    stop = tol.eig_offdiag * scale
-    elem_stop = stop / d
-
-    diag_mask = ~np.eye(d, dtype=bool)
-    for _ in range(max_sweeps):
-        off = float(np.linalg.norm(a[diag_mask]))
-        if off < stop:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                beta = abs(apq)
-                if beta <= elem_stop:
-                    continue
-                phase = apq / beta
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * beta)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(tau * tau + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                # unitary U = diag(phase, 1) . [[c, s], [-s, c]] on the (p, q) plane
-                ap, aq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = ap * (c * phase) - aq * s
-                a[:, q] = ap * (s * phase) + aq * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = rp * (c * np.conj(phase)) - rq * s
-                a[q, :] = rp * (s * np.conj(phase)) + rq * c
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = vp * (c * phase) - vq * s
-                v[:, q] = vp * (s * phase) + vq * c
-    else:
-        raise RuntimeError("Jacobi eigensolver failed to converge")
-
-    w = np.real(np.diag(a))
-    order = np.argsort(w, kind="stable")
-    return w[order], np.ascontiguousarray(v[:, order])
+    w, v = np.linalg.eigh(a)
+    return w, v

@@ -183,63 +183,62 @@ def _even_y_coefficient(y_count: int) -> float:
     return float((-1) ** (y_count // 2))
 
 
-def mermin(n: int, tol: Tolerances = DEFAULT) -> BellInequality:
-    """The stabilizer-type inequality: all even-Y X/Y strings, signed
-    (-1)**(#Y/2), one measurement setting per string (8 settings at n=4)."""
-    if n not in (4, 6):
-        raise ValueError(f"mermin inequality implemented for n in (4, 6), got {n}")
+def _xy_labels(mask: int, m: int) -> str:
+    """X/Y string on m qubits with Y wherever ``mask`` has a set bit (qubit 0
+    is the most significant bit)."""
+    return "".join("Y" if (mask >> (m - 1 - k)) & 1 else "X" for k in range(m))
+
+
+def _parity_inequality(name: str, tag: str, n: int, terms, lhv_bound: float) -> BellInequality:
+    """One setting per (labels, coefficient) term, each with outcome
+    coefficients coefficient * parity; the bound is brute-forced for n != 4."""
     settings, coeff_rows, op = [], [], np.zeros((2**n, 2**n), dtype=complex)
     par = _parity(n)
-    for mask in range(2**n):
-        y_count = bin(mask).count("1")
-        if y_count % 2:
-            continue
-        labels = ["Y" if (mask >> (n - 1 - k)) & 1 else "X" for k in range(n)]
-        c = _even_y_coefficient(y_count)
+    for labels, c in terms:
         obs = tuple(standard_observable(l) for l in labels)
         settings.append(MeasurementSetting(obs))
         coeff_rows.append(c * par)
         op += c * kron_all([o.matrix for o in obs])
     ineq = BellInequality(
-        name=f"mermin{n}", tag="M", n_qubits=n,
+        name=name, tag=tag, n_qubits=n,
         settings=tuple(settings), outcome_coeffs=np.array(coeff_rows),
-        lhv_bound=4.0, operator=op,
+        lhv_bound=lhv_bound, operator=op,
     )
     if n != 4:
         ineq.lhv_bound = _cached_bruteforce_bound(ineq)
     return ineq
 
 
-def ardehali(n: int, tol: Tolerances = DEFAULT) -> BellInequality:
+def mermin(n: int) -> BellInequality:
+    """The stabilizer-type inequality: all even-Y X/Y strings, signed
+    (-1)**(#Y/2), one measurement setting per string (8 settings at n=4)."""
+    if n not in (4, 6):
+        raise ValueError(f"mermin inequality implemented for n in (4, 6), got {n}")
+    terms = []
+    for mask in range(2**n):
+        y_count = bin(mask).count("1")
+        if y_count % 2 == 0:
+            terms.append((_xy_labels(mask, n), _even_y_coefficient(y_count)))
+    return _parity_inequality(f"mermin{n}", "M", n, terms, 4.0)
+
+
+def ardehali(n: int) -> BellInequality:
     """The rotated-last-qubit inequality: every X/Y string on the first n-1
     qubits paired with A and with B on the last qubit, all terms weighted
     1/sqrt(2) (16 settings at n=4); bound 2*sqrt(2) at n=4."""
     if n not in (4, 6):
         raise ValueError(f"ardehali inequality implemented for n in (4, 6), got {n}")
-    settings, coeff_rows, op = [], [], np.zeros((2**n, 2**n), dtype=complex)
-    par = _parity(n)
-    m = n - 1
-    for mask in range(2**m):
-        labels = ["Y" if (mask >> (m - 1 - k)) & 1 else "X" for k in range(m)]
+    terms = []
+    for mask in range(2 ** (n - 1)):
+        labels = _xy_labels(mask, n - 1)
         y_count = bin(mask).count("1")
         if y_count % 2 == 0:
             c_a = c_b = _even_y_coefficient(y_count) / SQRT2
         else:
             s = float((-1) ** ((y_count - 1) // 2))
             c_a, c_b = -s / SQRT2, s / SQRT2
-        for last, c in (("A", c_a), ("B", c_b)):
-            obs = tuple(standard_observable(l) for l in labels + [last])
-            settings.append(MeasurementSetting(obs))
-            coeff_rows.append(c * par)
-            op += c * kron_all([o.matrix for o in obs])
-    ineq = BellInequality(
-        name=f"ardehali{n}", tag="A", n_qubits=n,
-        settings=tuple(settings), outcome_coeffs=np.array(coeff_rows),
-        lhv_bound=2.0 * SQRT2, operator=op,
-    )
-    if n != 4:
-        ineq.lhv_bound = _cached_bruteforce_bound(ineq)
-    return ineq
+        terms += [(labels + "A", c_a), (labels + "B", c_b)]
+    return _parity_inequality(f"ardehali{n}", "A", n, terms, 2.0 * SQRT2)
 
 
 def generic_inequality(

@@ -24,6 +24,8 @@ from .inequalities import BellInequality, Witness, ardehali, mermin
 from .tolerances import DEFAULT, Tolerances
 
 NOISE_FAMILIES = ("bitflip", "white")
+# noise-parameter range of the default sweep grid and crossing search
+DEFAULT_SPAN = {"bitflip": (0.0, 0.25), "white": (0.0, 0.9)}
 
 
 class NoCrossingError(RuntimeError):
@@ -38,11 +40,11 @@ class ShotBudget:
     allocation: dict  # setting label -> copies
 
     def __post_init__(self):
-        if self.total_copies <= 0:
-            raise ValueError("total_copies must be positive")
+        if not (math.isfinite(self.total_copies) and self.total_copies > 0):
+            raise ValueError(f"total_copies must be positive and finite, got {self.total_copies!r}")
         alloc = {str(k): float(v) for k, v in self.allocation.items()}
-        if any(v <= 0 for v in alloc.values()):
-            raise ValueError("every setting needs a positive number of copies")
+        if not all(math.isfinite(v) and v > 0 for v in alloc.values()):
+            raise ValueError("every setting needs a positive, finite number of copies")
         total = sum(alloc.values())
         if abs(total - self.total_copies) > 1e-6 * max(1.0, self.total_copies):
             raise ValueError(
@@ -428,58 +430,47 @@ def crossing_point(
 ) -> CrossingResult:
     """Locate where the two inequalities swap significance order.
 
-    Scans a coarse grid for a sign change of S_first - S_second (infinities
+    Sweeps a coarse grid for a sign change of S_first - S_second (infinities
     compare as larger than any finite value), then bisects the bracketing
-    interval down to the configured noise-parameter resolution.
+    interval down to the configured noise-parameter resolution with one-point
+    sweeps.  ``span`` defaults to the family's ``DEFAULT_SPAN``.
     """
+    if noise not in DEFAULT_SPAN:
+        raise ValueError(f"unknown noise family {noise!r}; expected one of {NOISE_FAMILIES}")
     if ineqs is None:
         ineqs = (mermin(n), ardehali(n))
     first, second = ineqs
     state0 = _as_initial_state(initial_state, n)
-    reference = ghz_state(n)
-    budgets = (ShotBudget.equal_split(total_copies, first), ShotBudget.equal_split(total_copies, second))
     if span is None:
-        span = (0.0, 0.25) if noise == "bitflip" else (0.0, 0.9)
+        span = DEFAULT_SPAN[noise]
     lo, hi = span
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"invalid search span {span!r}")
 
-    def sign_at(p: float) -> int:
-        noisy = apply_noise(state0, noise, p)
-        s = []
-        for q, b in zip((first, second), budgets):
-            s.append(evaluate(predicted_counts(noisy, q, b, tol), q, tol).significance)
-        if s[0] > s[1]:
-            return 1
-        if s[0] < s[1]:
-            return -1
-        return 0
+    def signs_at(grid) -> np.ndarray:
+        table = significance_sweep((first, second), noise, grid, state0, total_copies, tol)
+        s0, s1 = (table.values[q.tag]["S"] for q in (first, second))
+        return (s0 > s1).astype(int) - (s0 < s1)
 
     grid = np.linspace(lo, hi, coarse)
-    signs = [sign_at(float(p)) for p in grid]
-    bracket = None
-    prev_idx = 0
-    for i in range(1, coarse):
-        if signs[i] == 0:
-            continue
-        if signs[prev_idx] != 0 and signs[i] != signs[prev_idx]:
-            bracket = (float(grid[prev_idx]), float(grid[i]), signs[prev_idx])
-            break
-        prev_idx = i
-    if bracket is None:
+    signs = signs_at(grid)
+    # first pair of neighbouring nonzero signs that differ; ties are skipped
+    nonzero = np.flatnonzero(signs)
+    flips = np.flatnonzero(signs[nonzero[1:]] != signs[nonzero[:-1]])
+    if flips.size == 0:
         raise NoCrossingError(
             f"significance difference does not change sign on [{lo:g}, {hi:g}] for {noise} noise"
         )
-    a, b, sign_a = bracket
+    i, j = nonzero[flips[0]], nonzero[flips[0] + 1]
+    a, b, sign_a = float(grid[i]), float(grid[j]), signs[i]
     while b - a > tol.bisection:
         mid = 0.5 * (a + b)
-        s_mid = sign_at(mid)
-        if s_mid == sign_a or s_mid == 0:
+        if signs_at([mid])[0] in (sign_a, 0):
             a = mid
         else:
             b = mid
     p_star = 0.5 * (a + b)
-    f_star = fidelity_with_pure(apply_noise(state0, noise, p_star), reference, tol)
+    f_star = fidelity_with_pure(apply_noise(state0, noise, p_star), ghz_state(n), tol)
     return CrossingResult(p_star, f_star, noise, n)
 
 

@@ -23,7 +23,6 @@ class Tolerances:
     prob_floor: float = 1e-12       # probabilities >= -prob_floor clamp to 0
     prob_sum: float = 1e-10         # |sum p - 1|
     variance_floor: float = 1e-12   # variances >= -variance_floor clamp to 0
-    eig_offdiag: float = 1e-12      # Jacobi stop: off-diag Frobenius / matrix norm
     eig_residual: float = 1e-9      # ||M v - lam v|| per unit matrix norm
     diagonal_term: float = 1e-10    # off-diagonal residue allowed for setting terms
     coeff_spread: float = 1e-12     # supported coefficients within this act as one value

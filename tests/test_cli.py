@@ -255,6 +255,18 @@ class TestParser:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--shots", "nan", "--grid", "0:0.1:3"],
+        ["sweep", "--shots", "inf", "--grid", "0:0.1:3"],
+        ["montecarlo", "--shots", "nan", "--trials", "100"],
+        ["montecarlo", "--shots", "inf", "--trials", "100"],
+    ])
+    def test_non_finite_shots_is_config_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "copies" in err
+        assert out == ""
+
     def test_bad_choice_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--noise", "pink"])

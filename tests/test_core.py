@@ -144,6 +144,12 @@ class TestExpectation:
         mixed = DensityMatrix.maximally_mixed(3)
         assert expectation(mixed, kron_all([X, Y, Z])) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_observable_rejected(self, rho_ghz4, bad):
+        for obs in (np.full((16, 16), bad), np.diag([bad] + [0.0] * 15)):
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                expectation(rho_ghz4, obs)
+
     def test_dimension_mismatch(self, rho_ghz4):
         with pytest.raises(ValueError):
             expectation(rho_ghz4, np.eye(8, dtype=complex))
@@ -243,3 +249,11 @@ class TestHermitianEig:
         g = rng.normal(size=(12, 12))
         w, _ = hermitian_eig((g + g.T) / 2)
         assert np.all(np.diff(w) >= -1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        # a NaN defect fails every "> tol" test, and a lone Inf entry scales
+        # the tolerance to Inf: both must still be rejected
+        for m in (np.full((2, 2), bad), np.array([[0.0, bad], [0.0, 0.0]])):
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                hermitian_eig(m)

@@ -9,6 +9,7 @@ from entsig import (
     DensityMatrix,
     MeasurementSetting,
     ProductObservable,
+    Witness,
     apply_noise,
     ardehali,
     expectation,
@@ -219,6 +220,11 @@ class TestWitness:
         mixed = DensityMatrix.maximally_mixed(4)
         assert witness_violation(mixed, witness4) == pytest.approx(-(0.5 - 1 / 16), abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            Witness("w", np.full((2, 2), bad))
+
 
 class TestOutcomeProbabilities:
     def test_ghz_in_zzzz(self, rho_ghz4):
@@ -285,6 +291,14 @@ class TestStackedProbabilities:
             expected = functools.reduce(np.kron, [o.eigenbasis() for o in setting.observables])
             assert np.array_equal(mermin4.bases[s_idx], expected)
         assert not mermin4.bases.flags.writeable
+
+    @pytest.mark.parametrize("label", list("XYZAB"))
+    def test_eigenbasis_puts_plus_one_first(self, label):
+        # outcome bit 0 means +1 on that qubit: the sign convention of every
+        # coefficient table rests on this column order
+        obs = standard_observable(label)
+        u = obs.eigenbasis()
+        assert np.max(np.abs(obs.matrix @ u - u @ np.diag([1.0, -1.0]))) <= 1e-12
 
     def test_standard_observables_are_shared(self):
         for label in "IXYZAB":

@@ -60,6 +60,13 @@ class TestShotBudget:
         with pytest.raises(ValueError):
             ShotBudget(0, {})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_finite_copies(self, mermin4, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ShotBudget.equal_split(bad, mermin4)
+        with pytest.raises(ValueError, match="finite"):
+            ShotBudget(1000.0, {"XXXX": 1000.0, "YYYY": bad})
+
     def test_missing_setting(self, mermin4, rho_ghz4, ardehali4):
         budget = ShotBudget.equal_split(8000, mermin4)
         with pytest.raises(ValueError, match="no allocation"):
@@ -358,6 +365,10 @@ class TestCrossing:
     def test_bitflip_four_qubits(self):
         res = crossing_point("bitflip", 4)
         assert res.fidelity_star == pytest.approx(0.70, abs=0.01)
+
+    def test_unknown_family_is_value_error(self):
+        with pytest.raises(ValueError, match="unknown noise family"):
+            crossing_point("pink", 4)
 
     def test_no_crossing_raises(self):
         with pytest.raises(NoCrossingError):
