@@ -245,8 +245,7 @@ def cmd_report(args) -> int:
 def cmd_predict(args) -> int:
     state, meta = _initial_state(args)
     ineq = _inequality(args.inequality, args.qubits)
-    if args.p > 0:
-        state = apply_noise(state, args.noise, args.p)
+    state = apply_noise(state, args.noise, args.p)
     budget = ShotBudget.equal_split(args.shots, ineq)
     if args.seed is None:
         table = predicted_counts(state, ineq, budget)

@@ -92,11 +92,9 @@ def pauli(label: str) -> SingleQubitObservable:
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two square matrices."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim != 2 or b.shape[0] != b.shape[1]:
+    if any(np.ndim(m) != 2 or np.shape(m)[0] != np.shape(m)[1] for m in (a, b)):
         raise ValueError("tensor expects square matrices")
-    return np.kron(a, b)
+    return kron_all([a, b])
 
 
 def kron_all(factors) -> np.ndarray:

@@ -132,8 +132,7 @@ def _finish(psi: PureState, w: Witness, added: np.ndarray, tol: Tolerances) -> I
     w_prime = Witness(f"{w.name}+improvement", w.matrix + added)
     before = variance_model_significance(psi, w, tol=tol)
     after = variance_model_significance(psi, w_prime, tol=tol)
-    mean_after = expectation(psi, w_prime.matrix, tol)
-    dev_after = math.sqrt(variance(psi, w_prime.matrix, tol))
+    mean_after, dev_after = _pure_stats(psi, w_prime, tol)
     resid = float(np.linalg.norm(w_prime.matrix @ psi.amplitudes - mean_after * psi.amplitudes))
     return ImprovementResult(
         improved_witness=w_prime,

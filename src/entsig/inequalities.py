@@ -389,7 +389,7 @@ def _probability_rows(rho, bases: np.ndarray, tol: Tolerances) -> np.ndarray:
         raise ValueError(f"negative outcome probability {lowest:.3e}")
     np.clip(p, 0.0, None, out=p)
     sums = p.sum(axis=1)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > tol.prob_sum)
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= tol.prob_sum))  # NaN rows fail too
     if bad.size:
         raise ValueError(f"outcome probabilities sum to {float(sums[bad[0]])!r}")
     return p

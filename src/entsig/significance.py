@@ -180,7 +180,7 @@ def _significance_of(v: float, e: float, tol: Tolerances) -> tuple[float, bool]:
 
 
 def _expected_counts(rho, ineq: BellInequality, budget: ShotBudget, tol: Tolerances) -> np.ndarray:
-    """(n_settings, 2**n) table of N_s * p_{s,o}, from one kernel call."""
+    """(n_settings, 2**n) table of N_s * p_{s,o} from one kernel call; finite and non-negative."""
     copies = np.array([budget.copies_for(s.label) for s in ineq.settings])
     return copies[:, None] * ineq.probabilities(rho, tol)
 
@@ -195,12 +195,11 @@ def sample_counts(rho, ineq: BellInequality, budget: ShotBudget, seed, tol: Tole
     """Poisson-sampled counts, one independent draw per outcome.
 
     ``seed`` may be an int or a ``numpy.random.SeedSequence``; a fixed seed
-    reproduces the table bit for bit.  Settings are drawn in order, one
-    ``poisson`` call each.
+    reproduces the table bit for bit.  One ``poisson`` call draws the whole
+    table, settings in order.
     """
-    rng = np.random.default_rng(seed)
-    means = _expected_counts(rho, ineq, budget, tol)
-    return CountTable(ineq.name, {s.label: rng.poisson(row) for s, row in zip(ineq.settings, means)}, mode="sampled")
+    counts = np.random.default_rng(seed).poisson(_expected_counts(rho, ineq, budget, tol))
+    return CountTable(ineq.name, {s.label: row for s, row in zip(ineq.settings, counts)}, mode="sampled")
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -242,7 +241,15 @@ def setting_estimate(counts, coeffs, tol: Tolerances = DEFAULT) -> tuple[float, 
     return float(mean[0]), float(err[0])
 
 
-def evaluate(counts: CountTable, ineq: BellInequality, tol: Tolerances = DEFAULT, metadata: dict | None = None) -> SignificanceReport:
+def _combine(means: np.ndarray, errors: np.ndarray, lhv_bound: float):
+    """V = sum of means - C_lhv and E = sqrt(sum of squared errors) over the last
+    (setting) axis.  ``cumsum`` adds left to right, unlike numpy's pairwise sum
+    or Python 3.12+'s compensated ``sum``, so V and E reproduce bit for bit."""
+    v = np.cumsum(means, axis=-1)[..., -1] - lhv_bound
+    return v, np.sqrt(np.cumsum(errors * errors, axis=-1)[..., -1])
+
+
+def evaluate(counts: CountTable, ineq: BellInequality, tol: Tolerances = DEFAULT) -> SignificanceReport:
     """Combine all settings of an inequality into (V, E, S).
 
     V = sum of setting means - C_lhv; setting errors add in quadrature since
@@ -264,13 +271,10 @@ def evaluate(counts: CountTable, ineq: BellInequality, tol: Tolerances = DEFAULT
         rows.append(vec)
     means, errors, totals = setting_estimates(np.array(rows, dtype=float), ineq.outcome_coeffs, tol)
     estimates = tuple(map(SettingEstimate, labels, means.tolist(), errors.tolist(), totals.tolist()))
-    # left-to-right sums, not numpy's pairwise ones, keep V and E reproducible bit for bit
-    v = sum(est.mean for est in estimates) - ineq.lhv_bound
-    e = math.sqrt(sum(est.error**2 for est in estimates))
+    v, e = map(float, _combine(means, errors, ineq.lhv_bound))
     s, degenerate = _significance_of(v, e, tol)
     meta = {"inequality": ineq.name, "lhv_bound": ineq.lhv_bound,
             "mode": counts.mode, "total_counts": counts.total()}
-    meta.update(metadata or {})
     return SignificanceReport(v, e, s, degenerate, estimates, meta)
 
 
@@ -399,10 +403,10 @@ def significance_sweep(
         noisy = apply_noise(state0, noise, float(p))
         fid[i] = fidelity_with_pure(noisy, reference, tol)
         for q in ineqs:
-            rep = evaluate(predicted_counts(noisy, q, budgets[q.tag], tol), q, tol)
-            values[q.tag]["V"][i] = rep.violation
-            values[q.tag]["E"][i] = rep.error
-            values[q.tag]["S"][i] = rep.significance
+            means, errors, _ = setting_estimates(_expected_counts(noisy, q, budgets[q.tag], tol), q.outcome_coeffs, tol)
+            v, e = map(float, _combine(means, errors, q.lhv_bound))
+            col = values[q.tag]
+            col["V"][i], col["E"][i], col["S"][i] = v, e, _significance_of(v, e, tol)[0]
     return SweepTable(
         noise=noise, n_qubits=n, total_copies=total_copies,
         tags=tuple(q.tag for q in ineqs), p=grid, fidelity=fid, values=values,
@@ -514,14 +518,13 @@ def monte_carlo_study(
     """
     if trials < 100:
         raise ValueError("need at least 100 trials for a meaningful comparison")
-    v_pred = evaluate(predicted_counts(rho, ineq, budget, tol), ineq, tol).violation
-    v = np.zeros(trials)
-    e = np.zeros(trials)
+    expected = _expected_counts(rho, ineq, budget, tol)
+    v_pred = float(_combine(*setting_estimates(expected, ineq.outcome_coeffs, tol)[:2], ineq.lhv_bound)[0])
+    means, errors = np.zeros((2, trials, ineq.n_settings))
     for i in range(trials):
-        seq = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
-        rep = evaluate(sample_counts(rho, ineq, budget, seq, tol), ineq, tol)
-        v[i] = rep.violation
-        e[i] = rep.error
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        means[i], errors[i], _ = setting_estimates(rng.poisson(expected), ineq.outcome_coeffs, tol)
+    v, e = _combine(means, errors, ineq.lhv_bound)
     v_std = float(np.std(v, ddof=1))
     e_mean = float(np.mean(e))
     ratio = v_std / e_mean if e_mean > 0 else math.nan

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,10 @@ from entsig import (
     predicted_counts,
 )
 from entsig.cli import main
+
+# stdout, stderr and exit code of cheap commands, recorded with the same argv;
+# the 9-digit output bytes are the contract every refactor keeps
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -202,6 +207,17 @@ class TestPredictCommand:
         assert a.read_bytes() == b.read_bytes()
         assert json.loads(a.read_text())["mode"] == "sampled"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--p", "nan"], "flip probability must be in [0, 1]"),
+        (["--p", "-0.1"], "flip probability must be in [0, 1]"),
+        (["--noise", "white", "--p", "nan"], "white-noise weight must be in [0, 1]"),
+    ])
+    def test_invalid_noise_strength_is_config_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "predict", *argv)
+        assert code == 2
+        assert message in err
+        assert out == ""
+
 
 class TestImproveCommand:
     def test_default_demo(self, capsys):
@@ -271,3 +287,9 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--noise", "pink"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_bytes_match_recording(capsys, name):
+    case = GOLDEN[name]
+    assert run_cli(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])

@@ -279,6 +279,12 @@ class TestStackedProbabilities:
             assert np.max(np.abs(got - ref)) <= 1e-15
             assert np.array_equal(got == 0.0, ref == 0.0)
 
+    def test_nan_state_rejected(self, mermin4):
+        # callers such as monte_carlo_study use the rows without a CountTable
+        # check, so the kernel itself must not let NaN through
+        with pytest.raises(ValueError, match="sum to nan"):
+            mermin4.probabilities(np.full((16, 16), np.nan))
+
     def test_single_setting_call_is_a_row(self, rng, ardehali4):
         rho = random_density(rng, 4)
         rows = ardehali4.probabilities(rho)

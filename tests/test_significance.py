@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from entsig import (
     CountTable,
     DensityMatrix,
+    MonteCarloSummary,
     NoCrossingError,
     ShotBudget,
     apply_noise,
@@ -25,8 +26,10 @@ from entsig import (
     violation,
     experimental_ansatz,
     AnsatzParams,
+    ardehali,
+    mermin,
 )
-from entsig.significance import setting_estimates
+from entsig.significance import NOISE_FAMILIES, _combine, setting_estimates
 from conftest import lab_noise_row, random_density
 
 
@@ -42,8 +45,42 @@ def scalar_estimate(counts, coeffs, coeff_spread=1e-12):
     return mean, math.sqrt(float(((lam - mean) ** 2) @ n) / (n_tot * n_tot)), n_tot
 
 
+def left_to_right(values):
+    """Reference: add a sequence strictly left to right (``sum`` is compensated
+    from Python 3.12 on, so it is no reference)."""
+    acc = values[0]
+    for x in values[1:]:
+        acc += x
+    return acc
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
 COUNT_ROWS = hnp.arrays(np.int64, (3, 8), elements=st.integers(0, 1000))
 COEFF_ROWS = hnp.arrays(np.float64, (3, 8), elements=st.floats(-10, 10))
+
+
+@st.composite
+def setting_rows(draw):
+    """Equal-shape (k, n_settings) arrays of setting means and errors."""
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 40)))
+    means = draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
+    errors = draw(hnp.arrays(np.float64, shape, elements=st.floats(0, 1e3)))
+    return means, errors
+
+
+@st.composite
+def count_tables(draw):
+    """Count tables in either mode with arbitrary labels and entries."""
+    mode = draw(st.sampled_from(["predicted", "sampled"]))
+    if mode == "sampled":
+        vectors = hnp.arrays(np.int64, st.integers(1, 16), elements=st.integers(0, 10**9))
+    else:
+        vectors = hnp.arrays(np.float64, st.integers(1, 16), elements=st.floats(0, 1e9))
+    counts = draw(st.dictionaries(st.text("XYZAB", min_size=1, max_size=6), vectors, min_size=1, max_size=5))
+    return CountTable(draw(st.text(max_size=10)), counts, mode=mode)
 
 
 class TestShotBudget:
@@ -289,6 +326,23 @@ class TestEvaluate:
                 rep = evaluate(predicted_counts(rho, ineq, budget), ineq)
                 assert rep.violation == pytest.approx(violation(rho, ineq), abs=1e-9)
 
+    @settings(deadline=None, max_examples=40)
+    @given(noise=st.sampled_from(NOISE_FAMILIES), p=st.floats(0, 1), which=st.sampled_from(["M", "A"]))
+    def test_predicted_counts_reproduce_violation(self, rho_ghz4, mermin4, ardehali4, noise, p, which):
+        ineq = mermin4 if which == "M" else ardehali4
+        rho = apply_noise(rho_ghz4, noise, p)
+        rep = evaluate(predicted_counts(rho, ineq, ShotBudget.equal_split(8000, ineq)), ineq)
+        assert rep.violation == pytest.approx(violation(rho, ineq), abs=1e-9)
+
+    @settings(deadline=None)
+    @given(rows=setting_rows(), bound=st.floats(-10, 10))
+    def test_combine_adds_left_to_right(self, rows, bound):
+        means, errors = rows
+        v, e = _combine(means, errors, bound)
+        for k in range(len(means)):
+            assert bits(v[k]) == bits(left_to_right(means[k].tolist()) - bound)
+            assert bits(e[k]) == bits(math.sqrt(left_to_right([x * x for x in errors[k].tolist()])))
+
 
 class TestVarianceModel:
     def test_eigenstate_gives_infinite_s(self, ghz4, witness4):
@@ -360,6 +414,25 @@ class TestSweep:
         with pytest.raises(ValueError):
             significance_sweep((mermin4, ardehali4), "nonsense", [0.0])
 
+    @pytest.mark.parametrize("n, noise, grid", [
+        (4, "bitflip", np.linspace(0.0, 0.25, 21)),
+        (4, "white", np.linspace(0.0, 0.9, 21)),
+        (6, "bitflip", [0.0, 0.05, 0.15]),
+        (6, "white", [0.0, 0.3]),
+    ])
+    def test_columns_match_evaluate_bitwise(self, n, noise, grid):
+        # the sweep skips CountTable and evaluate; this is the path it replaced
+        ineqs = (mermin(n), ardehali(n))
+        table = significance_sweep(ineqs, noise, grid)
+        state0 = DensityMatrix.from_pure(ghz_state(n))
+        for i, p in enumerate(grid):
+            noisy = apply_noise(state0, noise, float(p))
+            for q in ineqs:
+                rep = evaluate(predicted_counts(noisy, q, ShotBudget.equal_split(8000.0, q)), q)
+                column = [table.values[q.tag][key][i] for key in ("V", "E", "S")]
+                assert bits(column) == bits([rep.violation, rep.error, rep.significance])
+        assert math.isinf(table.values["M"]["S"][0])
+
 
 class TestCrossing:
     def test_bitflip_four_qubits(self):
@@ -409,6 +482,16 @@ class TestCountTableIO:
         with pytest.raises(ValueError, match="malformed"):
             CountTable.from_json_dict({"settings": "nope"})
 
+    @settings(deadline=None)
+    @given(table=count_tables())
+    def test_json_round_trip_is_lossless(self, table):
+        rebuilt = CountTable.from_json_dict(json.loads(json.dumps(table.to_json_dict())))
+        assert (rebuilt.inequality, rebuilt.mode) == (table.inequality, table.mode)
+        assert list(rebuilt.counts) == list(table.counts)
+        for label, vec in table.counts.items():
+            assert rebuilt.counts[label].dtype == vec.dtype
+            assert rebuilt.counts[label].tobytes() == vec.tobytes()
+
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             CountTable("x", {"Z": [-1, 2]})
@@ -443,3 +526,25 @@ class TestMonteCarlo:
         s1 = monte_carlo_study(noisy, mermin4, budget, trials=120, seed=9)
         s2 = monte_carlo_study(noisy, mermin4, budget, trials=120, seed=9)
         assert s1 == s2
+
+    @pytest.mark.parametrize("p, factory", [(0.15, mermin), (0.05, ardehali)])
+    def test_matches_per_trial_evaluate(self, rho_ghz4, p, factory):
+        # bit-flip 0.15 with Mermin has outcomes of exactly zero mean, which
+        # must draw nothing; the reference is the per-trial CountTable path
+        ineq = factory(4)
+        noisy = apply_noise(rho_ghz4, "bitflip", p)
+        budget = ShotBudget.equal_split(8000, ineq)
+        trials, seed = 200, 4
+        v_pred = evaluate(predicted_counts(noisy, ineq, budget), ineq).violation
+        reps = [
+            evaluate(sample_counts(noisy, ineq, budget, np.random.SeedSequence(entropy=seed, spawn_key=(i,))), ineq)
+            for i in range(trials)
+        ]
+        v = np.array([r.violation for r in reps])
+        e = np.array([r.error for r in reps])
+        v_std, e_mean = float(np.std(v, ddof=1)), float(np.mean(e))
+        reference = MonteCarloSummary(
+            trials, v_pred, float(np.mean(v)), v_std, e_mean, v_std / e_mean,
+            float(np.mean(np.abs(v - v_pred) <= e)),
+        )
+        assert monte_carlo_study(noisy, ineq, budget, trials, seed=seed) == reference
