@@ -210,11 +210,7 @@ def cmd_crossing(args) -> int:
     }
     payload.update(meta)
     sys.stdout.write(f"p_star = {_fmt(result.p_star)}  F_star = {_fmt(result.fidelity_star)}\n")
-    text = _dump_json(payload)
-    if args.out:
-        _write_output(text, args.out)
-    else:
-        sys.stdout.write(text)
+    _write_output(_dump_json(payload), args.out)
     return EXIT_OK
 
 
@@ -280,11 +276,7 @@ def cmd_improve(args) -> int:
     s_before = result.significance_before.significance
     s_after = result.significance_after.significance
     sys.stdout.write(f"S before = {_fmt(s_before)}  S after = {_fmt(s_after)}\n")
-    text = _dump_json(payload)
-    if args.out:
-        _write_output(text, args.out)
-    else:
-        sys.stdout.write(text)
+    _write_output(_dump_json(payload), args.out)
     return EXIT_OK
 
 

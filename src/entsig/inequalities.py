@@ -123,6 +123,8 @@ class BellInequality:
 
     ``bases`` stacks the settings' product eigenbases as one read-only
     (n_settings, 2**n, 2**n) array; each ``setting.basis`` is a view into it.
+    ``probabilities`` does not use them: it contracts the state qubit by
+    qubit over a plan built once from the settings' observables.
     """
 
     name: str
@@ -137,6 +139,8 @@ class BellInequality:
         coeffs = np.array(self.outcome_coeffs, dtype=float)
         if coeffs.shape != (len(self.settings), 2**self.n_qubits):
             raise ValueError("outcome coefficient table has wrong shape")
+        if not self.settings:
+            raise ValueError("at least one setting required")
         labels = [s.label for s in self.settings]
         if len(set(labels)) != len(labels):
             raise ValueError("setting labels must be unique")
@@ -151,6 +155,7 @@ class BellInequality:
             bases[i] = s.basis
             s._basis = _freeze(bases[i])
         self.bases = _freeze(bases)
+        self._plan = _contraction_plan(self.settings)
 
     @property
     def n_settings(self) -> int:
@@ -159,7 +164,7 @@ class BellInequality:
     def probabilities(self, rho, tol: Tolerances = DEFAULT) -> np.ndarray:
         """(n_settings, 2**n) outcome probabilities of every setting, row order
         as in ``settings``."""
-        return _probability_rows(rho, self.bases, tol)
+        return _probability_rows(rho, self._plan, tol)
 
     def setting_index(self, label: str) -> int:
         for i, s in enumerate(self.settings):
@@ -357,33 +362,47 @@ def witness_violation(rho, w: Witness, tol: Tolerances = DEFAULT) -> float:
     return -expectation(rho, w.matrix, tol)
 
 
-# basis entries per kernel chunk: the whole inequality at d = 16, 4 settings at
-# d = 64; larger chunks only grow the temporaries and run slower
-_CHUNK_ENTRIES = 2**14
+def _contraction_plan(settings) -> tuple[list, np.ndarray]:
+    """Qubit-by-qubit contraction plan for a stack of product settings.
 
-
-def _probability_rows(rho, bases: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """p[s, o] = <u_so| rho |u_so> for a stack of bases, one row per setting.
-
-    The bulk is real(sum(conj(U) * (rho @ U))) over the row axis, in chunks.
-    BLAS fuses multiply-adds, which leaves a round-off residue where terms
-    cancel exactly, so every outcome within prob_floor of zero is recomputed
-    from separately rounded products.  Outcomes that rho cannot produce then
-    stay exactly 0.0: the zero-error rule and Poisson sampling depend on it.
+    Level k holds one node per distinct observable prefix
+    ``s.observables[:k + 1]`` (shared instances share nodes): the index of
+    its parent node at level k - 1 and the four outcome vectors
+    T[i, j] = conj(u[i, :]) * u[j, :] of its qubit-k eigenbasis u.  ``order``
+    maps each setting to its last-level node.
     """
+    levels, nodes = [], {(): 0}
+    for k in range(settings[0].n_qubits):
+        parents, nodes = nodes, {}
+        for s in settings:
+            nodes.setdefault(s.observables[:k + 1], len(nodes))
+        u = np.array([prefix[-1].eigenbasis() for prefix in nodes])
+        t = [(u[:, i].conj() * u[:, j])[:, None, :, None, None] for i in (0, 1) for j in (0, 1)]
+        levels.append((np.array([parents[prefix[:-1]] for prefix in nodes]), *t))
+    return levels, np.array([nodes[s.observables] for s in settings])
+
+
+def _probability_rows(rho, plan, tol: Tolerances) -> np.ndarray:
+    """p[s, o] = <u_so| rho |u_so> for every setting of a contraction plan.
+
+    A product setting's outcome distribution factorizes qubit by qubit, so rho
+    is contracted with one 2x2 eigenbasis at a time: per level, each node
+    turns its parent's (prefix, 2h, 2h) blocks into (prefix + outcome, h, h)
+    blocks.  Only separately rounded elementwise products and sums are used,
+    so outcomes that rho cannot produce come out exactly 0.0: the zero-error
+    rule and Poisson sampling depend on it.
+    """
+    levels, order = plan
     m = _state_matrix(rho)
-    if m.shape != bases.shape[1:]:
+    if m.shape != (2 ** len(levels),) * 2:
         raise ValueError("state and setting dimensions differ")
-    step = max(1, _CHUNK_ENTRIES // m.size)
-    p = np.empty(bases.shape[:2])
-    for start in range(0, len(bases), step):
-        u = bases[start:start + step]
-        q = p[start:start + step]
-        q[...] = np.real(np.sum(u.conj() * (m @ u), axis=-2))
-        s, o = np.nonzero(np.abs(q) <= tol.prob_floor)
-        if s.size:
-            cols = u[s, :, o]
-            q[s, o] = np.real(np.einsum("ki,ij,kj->k", cols.conj(), m, cols))
+    r = m[None, None]
+    for parents, t00, t01, t10, t11 in levels:
+        g, n_prefix, h = len(parents), r.shape[1], r.shape[2] // 2
+        v = r[parents].reshape(g, n_prefix, 1, 2, h, 2, h)
+        r = (t00 * v[:, :, :, 0, :, 0] + t01 * v[:, :, :, 0, :, 1]
+             + t10 * v[:, :, :, 1, :, 0] + t11 * v[:, :, :, 1, :, 1]).reshape(g, 2 * n_prefix, h, h)
+    p = r.real[order].reshape(len(order), -1)
     lowest = float(p.min())
     if lowest < -tol.prob_floor:
         raise ValueError(f"negative outcome probability {lowest:.3e}")
@@ -397,7 +416,7 @@ def _probability_rows(rho, bases: np.ndarray, tol: Tolerances) -> np.ndarray:
 
 def outcome_probabilities(rho, setting: MeasurementSetting, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Probabilities of the 2**n product-eigenbasis outcomes of a setting."""
-    return _probability_rows(rho, setting.basis[None], tol)[0]
+    return _probability_rows(rho, _contraction_plan((setting,)), tol)[0]
 
 
 def projector_witness(n: int) -> Witness:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .channels import apply_to_all, bit_flip_channel, white_noise
 from .core import DensityMatrix, PureState, expectation, fidelity_with_pure, ghz_state, variance
-from .inequalities import BellInequality, Witness, ardehali, mermin
+from .inequalities import BellInequality, Witness, _contraction_plan, _probability_rows, ardehali, mermin
 from .tolerances import DEFAULT, Tolerances
 
 NOISE_FAMILIES = ("bitflip", "white")
@@ -179,15 +179,15 @@ def _significance_of(v: float, e: float, tol: Tolerances) -> tuple[float, bool]:
     return 0.0, True
 
 
-def _expected_counts(rho, ineq: BellInequality, budget: ShotBudget, tol: Tolerances) -> np.ndarray:
-    """(n_settings, 2**n) table of N_s * p_{s,o} from one kernel call; finite and non-negative."""
+def _expected_counts(probabilities: np.ndarray, ineq: BellInequality, budget: ShotBudget) -> np.ndarray:
+    """(n_settings, 2**n) table of N_s * p_{s,o} from probability rows; finite and non-negative."""
     copies = np.array([budget.copies_for(s.label) for s in ineq.settings])
-    return copies[:, None] * ineq.probabilities(rho, tol)
+    return copies[:, None] * probabilities
 
 
 def predicted_counts(rho, ineq: BellInequality, budget: ShotBudget, tol: Tolerances = DEFAULT) -> CountTable:
     """Deterministic expectation of the counting experiment: N_s * p_{s,o}."""
-    means = _expected_counts(rho, ineq, budget, tol)
+    means = _expected_counts(ineq.probabilities(rho, tol), ineq, budget)
     return CountTable(ineq.name, {s.label: row for s, row in zip(ineq.settings, means)}, mode="predicted")
 
 
@@ -198,7 +198,7 @@ def sample_counts(rho, ineq: BellInequality, budget: ShotBudget, seed, tol: Tole
     reproduces the table bit for bit.  One ``poisson`` call draws the whole
     table, settings in order.
     """
-    counts = np.random.default_rng(seed).poisson(_expected_counts(rho, ineq, budget, tol))
+    counts = np.random.default_rng(seed).poisson(_expected_counts(ineq.probabilities(rho, tol), ineq, budget))
     return CountTable(ineq.name, {s.label: row for s, row in zip(ineq.settings, counts)}, mode="sampled")
 
 
@@ -380,7 +380,8 @@ def significance_sweep(
     tol: Tolerances = DEFAULT,
 ) -> SweepTable:
     """Evaluate predicted-count significance for each inequality along a noise
-    grid, tracking the GHZ fidelity of the noisy state."""
+    grid, tracking the GHZ fidelity of the noisy state.  One probability
+    kernel call per grid point serves all inequalities."""
     ineqs = list(ineqs)
     if not ineqs:
         raise ValueError("need at least one inequality")
@@ -397,13 +398,15 @@ def significance_sweep(
     state0 = _as_initial_state(initial_state, n)
     reference = ghz_state(n)
     budgets = {q.tag: ShotBudget.equal_split(total_copies, q) for q in ineqs}
+    plan = _contraction_plan([s for q in ineqs for s in q.settings])
+    splits = np.cumsum([q.n_settings for q in ineqs])[:-1]
     fid = np.zeros(grid.size)
     values = {q.tag: {"V": np.zeros(grid.size), "E": np.zeros(grid.size), "S": np.zeros(grid.size)} for q in ineqs}
     for i, p in enumerate(grid):
         noisy = apply_noise(state0, noise, float(p))
         fid[i] = fidelity_with_pure(noisy, reference, tol)
-        for q in ineqs:
-            means, errors, _ = setting_estimates(_expected_counts(noisy, q, budgets[q.tag], tol), q.outcome_coeffs, tol)
+        for q, rows in zip(ineqs, np.split(_probability_rows(noisy, plan, tol), splits)):
+            means, errors, _ = setting_estimates(_expected_counts(rows, q, budgets[q.tag]), q.outcome_coeffs, tol)
             v, e = map(float, _combine(means, errors, q.lhv_bound))
             col = values[q.tag]
             col["V"][i], col["E"][i], col["S"][i] = v, e, _significance_of(v, e, tol)[0]
@@ -518,7 +521,7 @@ def monte_carlo_study(
     """
     if trials < 100:
         raise ValueError("need at least 100 trials for a meaningful comparison")
-    expected = _expected_counts(rho, ineq, budget, tol)
+    expected = _expected_counts(ineq.probabilities(rho, tol), ineq, budget)
     v_pred = float(_combine(*setting_estimates(expected, ineq.outcome_coeffs, tol)[:2], ineq.lhv_bound)[0])
     means, errors = np.zeros((2, trials, ineq.n_settings))
     for i in range(trials):

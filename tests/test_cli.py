@@ -289,6 +289,14 @@ class TestParser:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["crossing", "improve", "predict"])
+def test_empty_out_is_data_error(capsys, command):
+    # every command sends --out through the same writer: "" is a path, not stdout
+    code, _, err = run_cli(capsys, command, "--out", "")
+    assert code == 3
+    assert "cannot write ''" in err
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_bytes_match_recording(capsys, name):
     case = GOLDEN[name]

@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entsig import (
+    DEFAULT,
+    BellInequality,
     DensityMatrix,
     MeasurementSetting,
     ProductObservable,
@@ -28,6 +32,7 @@ from entsig import (
     violation,
     witness_violation,
 )
+from entsig.inequalities import _contraction_plan, _probability_rows
 from conftest import random_density
 
 SQRT2 = math.sqrt(2.0)
@@ -263,6 +268,21 @@ def per_setting_einsum(rho, ineq):
     ])
 
 
+@st.composite
+def product_stacks(draw):
+    """Distinct product settings on 1-5 qubits with a state to measure: a
+    full-rank random state, or GHZ under bit-flip or white noise."""
+    kind = draw(st.sampled_from(["random", "bitflip", "white"]))
+    n = draw(st.integers(1 if kind == "random" else 2, 5))
+    labels = draw(st.lists(st.text("XYZAB", min_size=n, max_size=n), min_size=1, max_size=min(8, 5**n), unique=True))
+    stack = [MeasurementSetting(tuple(standard_observable(c) for c in label)) for label in labels]
+    if kind == "random":
+        rho = random_density(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    else:
+        rho = apply_noise(DensityMatrix.from_pure(ghz_state(n)), kind, draw(st.floats(0, 1)))
+    return stack, rho
+
+
 class TestStackedProbabilities:
     # bit-flip 0.15 (4q), 0.25 and 0.375 are points where a fused multiply-add
     # kernel alone turns the Mermin stabilizer's exact zeros into ~1e-17
@@ -278,6 +298,33 @@ class TestStackedProbabilities:
             got = ineq.probabilities(rho)
             assert np.max(np.abs(got - ref)) <= 1e-15
             assert np.array_equal(got == 0.0, ref == 0.0)
+
+    @settings(deadline=None)
+    @given(case=product_stacks(), data=st.data())
+    def test_random_product_settings(self, case, data):
+        stack, rho = case
+        d = rho.matrix.shape[0]
+        ineq = BellInequality("random", "R", rho.n_qubits, stack, np.zeros((len(stack), d)), 0.0, np.zeros((d, d)))
+        rows = ineq.probabilities(rho)
+        ref = per_setting_einsum(rho, ineq)
+        assert np.max(np.abs(rows - ref)) <= 1e-15
+        assert np.array_equal(rows == 0.0, ref == 0.0)
+        # a row does not depend on which other settings share the plan
+        perm = data.draw(st.permutations(range(len(stack))))
+        shuffled = _probability_rows(rho, _contraction_plan([stack[i] for i in perm]), DEFAULT)
+        assert np.array_equal(shuffled, rows[perm])
+        for setting, row in zip(stack, rows):
+            assert np.array_equal(outcome_probabilities(rho, setting), row)
+
+    def test_wrong_dimension_rejected(self, mermin4):
+        with pytest.raises(ValueError, match="state and setting dimensions differ"):
+            mermin4.probabilities(DensityMatrix.maximally_mixed(6))
+        with pytest.raises(ValueError, match="state and setting dimensions differ"):
+            outcome_probabilities(DensityMatrix.maximally_mixed(3), mermin4.settings[0])
+
+    def test_inequality_without_settings_rejected(self):
+        with pytest.raises(ValueError, match="at least one setting"):
+            BellInequality("empty", "E", 2, (), np.zeros((0, 4)), 0.0, np.zeros((4, 4)))
 
     def test_nan_state_rejected(self, mermin4):
         # callers such as monte_carlo_study use the rows without a CountTable
