@@ -299,6 +299,7 @@ def cmd_montecarlo(args) -> int:
 
 
 def _add_state_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--shots", type=float, default=8000.0)
     p.add_argument("--state", choices=("ghz", "ansatz"), default="ghz")
     p.add_argument("--alpha", type=float, default=0.362)
     p.add_argument("--beta", type=float, default=0.522)
@@ -306,9 +307,8 @@ def _add_state_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="lam", type=float, default=0.12)
 
 
-def _add_common(p: argparse.ArgumentParser, shots_default: float = 8000.0) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--qubits", type=int, choices=(4, 6), default=4)
-    p.add_argument("--shots", type=float, default=shots_default)
     p.add_argument("--out", default=None)
 
 

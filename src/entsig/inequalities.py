@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    MAX_QUBITS,
     SingleQubitObservable,
     _freeze,
     _state_matrix,
@@ -68,7 +69,6 @@ class MeasurementSetting:
         self.observables = obs
         if not self.label:
             self.label = "".join(o.label for o in obs)
-        self._basis = None
 
     @property
     def n_qubits(self) -> int:
@@ -77,9 +77,7 @@ class MeasurementSetting:
     @property
     def basis(self) -> np.ndarray:
         """Product eigenbasis as columns; column index = outcome index."""
-        if self._basis is None:
-            self._basis = _freeze(kron_all([o.eigenbasis() for o in self.observables]))
-        return self._basis
+        return _freeze(kron_all([o.eigenbasis() for o in self.observables]))
 
 
 @dataclass(eq=False)
@@ -121,10 +119,8 @@ class Witness:
 class BellInequality:
     """<B> <= lhv_bound, with B decomposed into measurement settings.
 
-    ``bases`` stacks the settings' product eigenbases as one read-only
-    (n_settings, 2**n, 2**n) array; each ``setting.basis`` is a view into it.
-    ``probabilities`` does not use them: it contracts the state qubit by
-    qubit over a plan built once from the settings' observables.
+    ``probabilities`` contracts the state qubit by qubit over a plan built
+    from the settings' observables at each call.
     """
 
     name: str
@@ -147,15 +143,8 @@ class BellInequality:
         self.settings = tuple(self.settings)
         self.outcome_coeffs = _freeze(coeffs)
         self.operator = _freeze(np.array(self.operator, dtype=complex))
-        d = 2**self.n_qubits
         if any(s.n_qubits != self.n_qubits for s in self.settings):
             raise ValueError("all settings must act on the inequality's qubits")
-        bases = np.empty((len(self.settings), d, d), dtype=complex)
-        for i, s in enumerate(self.settings):
-            bases[i] = s.basis
-            s._basis = _freeze(bases[i])
-        self.bases = _freeze(bases)
-        self._plan = _contraction_plan(self.settings)
 
     @property
     def n_settings(self) -> int:
@@ -164,7 +153,7 @@ class BellInequality:
     def probabilities(self, rho, tol: Tolerances = DEFAULT) -> np.ndarray:
         """(n_settings, 2**n) outcome probabilities of every setting, row order
         as in ``settings``."""
-        return _probability_rows(rho, self._plan, tol)
+        return _probability_rows(rho, _contraction_plan(self.settings), tol)
 
     def setting_index(self, label: str) -> int:
         for i, s in enumerate(self.settings):
@@ -455,22 +444,22 @@ def inequality_to_json_dict(ineq: BellInequality) -> dict:
 
 
 def inequality_from_json_dict(data: dict) -> BellInequality:
-    """Rebuild an inequality whose settings use the standard labels I/X/Y/Z/A/B."""
+    """Rebuild an inequality whose settings use the standard labels X/Y/Z/A/B."""
     try:
         n = int(data["n_qubits"])
         bound = float(data["lhv_bound"])
         name = str(data["name"])
-        raw_settings = data["settings"]
+        entries = [(str(e["label"]), np.asarray(e["coefficients"], dtype=float)) for e in data["settings"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed inequality description: {exc}") from exc
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n}")
     tag = str(data.get("tag", name))
     settings, rows = [], []
     d = 2**n
-    for entry in raw_settings:
-        label = str(entry["label"])
+    for label, coeffs in entries:
         if len(label) != n:
             raise ValueError(f"setting label {label!r} does not match {n} qubits")
-        coeffs = np.asarray(entry["coefficients"], dtype=float)
         if coeffs.shape != (d,):
             raise ValueError(f"setting {label!r} needs {d} coefficients")
         settings.append(MeasurementSetting(tuple(standard_observable(ch) for ch in label)))

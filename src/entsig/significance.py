@@ -118,10 +118,14 @@ class CountTable:
     def from_json_dict(cls, data: dict) -> "CountTable":
         try:
             name = str(data["inequality"])
-            raw = data["settings"]
-            entries = {str(e["label"]): np.asarray(e["counts"], dtype=float) for e in raw}
+            pairs = [(str(e["label"]), np.asarray(e["counts"], dtype=float)) for e in data["settings"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed count table: {exc}") from exc
+        entries = {}
+        for label, vec in pairs:
+            if label in entries:
+                raise ValueError(f"count table lists setting {label!r} twice")
+            entries[label] = vec
         mode = data.get("mode")
         if mode is None:
             integral = all(np.all(v == np.round(v)) for v in entries.values())

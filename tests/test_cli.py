@@ -178,6 +178,36 @@ class TestReportCommand:
         assert code == 0
         assert json.loads(out)["violation"] == pytest.approx(4.0, abs=1e-9)
 
+    def test_repeated_setting_is_data_error(self, tmp_path, capsys):
+        # a second entry for a label must not silently replace the first
+        path = tmp_path / "counts.json"
+        assert run_cli(capsys, "predict", "--out", str(path))[0] == 0
+        data = json.loads(path.read_text())
+        data["settings"].append({"label": "XXXX", "counts": [0, 1000] + [0] * 14})
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "report", "--counts", str(path), "--format", "csv")
+        assert code == 3
+        assert out == ""
+        assert "'XXXX' twice" in err
+
+    @pytest.mark.parametrize("description, message", [
+        ({"name": "x", "n_qubits": 4, "lhv_bound": 4.0, "settings": [{"label": "XXXX"}]},
+         "malformed inequality description"),
+        ({"name": "x", "n_qubits": 4, "lhv_bound": 4.0, "settings": 5}, "malformed inequality description"),
+        ({"name": "x", "n_qubits": 7, "lhv_bound": 1.0,
+          "settings": [{"label": "X" * 7, "coefficients": [1.0] * 2**7}]}, "n_qubits must be in [1, 6]"),
+    ])
+    def test_bad_custom_inequality_is_data_error(self, tmp_path, capsys, rho_ghz4, mermin4, description, message):
+        ineq_path = tmp_path / "custom.json"
+        ineq_path.write_text(json.dumps(description))
+        counts_path = tmp_path / "counts.json"
+        budget = ShotBudget.equal_split(8000, mermin4)
+        counts_path.write_text(json.dumps(predicted_counts(rho_ghz4, mermin4, budget).to_json_dict()))
+        code, out, err = run_cli(capsys, "report", "--counts", str(counts_path), "--inequality", str(ineq_path))
+        assert code == 3
+        assert out == ""
+        assert message in err
+
     def test_csv_format(self, tmp_path, capsys, rho_ghz4, mermin4):
         budget = ShotBudget.equal_split(8000, mermin4)
         path = tmp_path / "counts.json"
@@ -282,6 +312,16 @@ class TestParser:
         assert code == 2
         assert "copies" in err
         assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--counts", "counts.json", "--shots", "5"],
+        ["improve", "--shots", "5"],
+    ])
+    def test_shots_only_where_it_is_read(self, argv):
+        # only the commands that simulate a state take a shot budget
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_bad_choice_exits_two(self):
         with pytest.raises(SystemExit) as exc:

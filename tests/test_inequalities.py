@@ -338,12 +338,21 @@ class TestStackedProbabilities:
         for s_idx, setting in enumerate(ardehali4.settings):
             assert np.array_equal(outcome_probabilities(rho, setting), rows[s_idx])
 
-    def test_setting_bases_are_views_into_the_stack(self, mermin4):
-        for s_idx, setting in enumerate(mermin4.settings):
-            assert np.shares_memory(setting.basis, mermin4.bases)
+    def test_setting_basis_is_the_product_eigenbasis(self, mermin4):
+        for setting in mermin4.settings:
             expected = functools.reduce(np.kron, [o.eigenbasis() for o in setting.observables])
-            assert np.array_equal(mermin4.bases[s_idx], expected)
-        assert not mermin4.bases.flags.writeable
+            assert np.array_equal(setting.basis, expected)
+            assert not setting.basis.flags.writeable
+
+    @pytest.mark.parametrize("builder", [mermin, ardehali])
+    def test_no_array_larger_than_one_operator(self, builder):
+        # the kernel reads observables, not dense bases: an inequality and its
+        # settings keep nothing bigger than its 2**n x 2**n operator
+        ineq = builder(6)
+        for obj in (ineq, *ineq.settings):
+            for name, value in vars(obj).items():
+                if isinstance(value, np.ndarray):
+                    assert value.size <= 4**6, name
 
     @pytest.mark.parametrize("label", list("XYZAB"))
     def test_eigenbasis_puts_plus_one_first(self, label):
@@ -418,6 +427,18 @@ class TestSerialization:
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
             inequality_from_json_dict({"name": "x"})
+
+    @pytest.mark.parametrize("settings", [[{"label": "XX"}], {"XX": [1.0, -1.0, -1.0, 1.0]}, 5])
+    def test_malformed_settings_rejected(self, settings):
+        data = {"name": "x", "n_qubits": 2, "lhv_bound": 1.0, "settings": settings}
+        with pytest.raises(ValueError, match="malformed inequality description"):
+            inequality_from_json_dict(data)
+
+    def test_too_many_qubits_rejected(self):
+        data = {"name": "x", "n_qubits": 7, "lhv_bound": 1.0,
+                "settings": [{"label": "X" * 7, "coefficients": [1.0] * 2**7}]}
+        with pytest.raises(ValueError, match="n_qubits must be in"):
+            inequality_from_json_dict(data)
 
     def test_standard_observable_labels(self):
         a = standard_observable("A").matrix

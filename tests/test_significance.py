@@ -482,6 +482,12 @@ class TestCountTableIO:
         with pytest.raises(ValueError, match="malformed"):
             CountTable.from_json_dict({"settings": "nope"})
 
+    def test_repeated_label_rejected(self):
+        data = {"inequality": "x", "settings": [{"label": "Z", "counts": [1, 2]},
+                                                {"label": "Z", "counts": [3, 0]}]}
+        with pytest.raises(ValueError, match="'Z' twice"):
+            CountTable.from_json_dict(data)
+
     @settings(deadline=None)
     @given(table=count_tables())
     def test_json_round_trip_is_lossless(self, table):
