@@ -31,10 +31,14 @@ class SingleQubitChannel:
         self.kraus_ops = tuple(_freeze(k) for k in ops)
 
 
+def _require_unit(x, what: str) -> None:
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"{what} must be in [0, 1], got {x!r}")
+
+
 def bit_flip_channel(p: float) -> SingleQubitChannel:
     """Flip the qubit with probability p: rho -> (1-p) rho + p X rho X."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"flip probability must be in [0, 1], got {p!r}")
+    _require_unit(p, "flip probability")
     k0 = math.sqrt(1.0 - p) * np.eye(2, dtype=complex)
     k1 = math.sqrt(p) * _PAULI["X"]
     return SingleQubitChannel((k0, k1), name=f"bitflip({p:g})")
@@ -75,13 +79,29 @@ def apply_to_all(rho: DensityMatrix, channel: SingleQubitChannel) -> DensityMatr
     return DensityMatrix(rho.n_qubits, m, tol=rho.tol)
 
 
+def _bit_flip_all(m: np.ndarray, p) -> np.ndarray:
+    """Bit-flip on every qubit of a (..., d, d) stack, p broadcast over the
+    leading axes.  Per qubit, on v = m viewed as (..., a, 2, c, a, 2, c), it
+    rounds s*(s*v) + t*(t*XvX) with s = sqrt(1-p), t = sqrt(p), exactly as the
+    Kraus path of ``apply_to_all`` does ((1-p)*v + p*XvX would not)."""
+    d = m.shape[-1]
+    s, t = (np.reshape(np.sqrt(x), np.shape(x) + (1,) * 6) for x in (1.0 - np.asarray(p), p))
+    for q in range(d.bit_length() - 1):
+        v = m.reshape(*m.shape[:-2], 2**q, 2, d >> (q + 1), 2**q, 2, d >> (q + 1))
+        m = (s * (s * v) + t * (t * v[..., ::-1, :, :, ::-1, :])).reshape(m.shape)
+    return m
+
+
+def _white_mix(m: np.ndarray, q) -> np.ndarray:
+    """(1-q) m + q 1/d on a (..., d, d) stack, q broadcast over the leading axes."""
+    d, q = m.shape[-1], np.reshape(q, np.shape(q) + (1, 1))
+    return (1.0 - q) * m + q * (np.eye(d, dtype=complex) / d)
+
+
 def white_noise(rho: DensityMatrix, q: float) -> DensityMatrix:
     """Admix the maximally mixed state: rho -> (1-q) rho + q 1/2**n."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"white-noise weight must be in [0, 1], got {q!r}")
-    d = rho.dim
-    mixed = np.eye(d, dtype=complex) / d
-    return DensityMatrix(rho.n_qubits, (1.0 - q) * rho.matrix + q * mixed, tol=rho.tol)
+    _require_unit(q, "white-noise weight")
+    return DensityMatrix(rho.n_qubits, _white_mix(rho.matrix, q), tol=rho.tol)
 
 
 @dataclass(frozen=True)

@@ -36,16 +36,12 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} contains NaN or Inf entries")
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entrywise deviation of ``m`` from its conjugate transpose."""
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-
-
 def require_hermitian(m: np.ndarray, tol: float, what: str = "matrix") -> None:
+    """Reject ``m``, or the first member of a stack, unless it is Hermitian to ``tol``."""
     _require_finite(m, what)  # a NaN defect would pass "defect > tol"
-    defect = hermiticity_defect(m)
-    if defect > tol:
-        raise ValueError(f"{what} is not Hermitian (defect {defect:.3e} > {tol:.1e})")
+    defect = np.abs(m - np.swapaxes(m.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
+    if (bad := np.flatnonzero(defect > tol)).size:
+        raise ValueError(f"{what} is not Hermitian (defect {defect.flat[bad[0]]:.3e} > {tol:.1e})")
 
 
 def _as_matrix(obs) -> np.ndarray:
@@ -159,20 +155,7 @@ class DensityMatrix:
         d = 2**self.n_qubits
         if m.shape != (d, d):
             raise ValueError(f"density matrix must be {d}x{d} for {self.n_qubits} qubits")
-        require_hermitian(m, self.tol.hermitian, "density matrix")
-        tr = float(m.trace().real)
-        if abs(tr - 1.0) > self.tol.trace_one:
-            raise ValueError(f"density matrix trace is {tr!r}, expected 1")
-        evals = np.linalg.eigvalsh(m)
-        lo = float(evals[0])
-        if lo < -self.tol.psd:
-            raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
-        if lo < -self.tol.psd_clamp:
-            # meaningful round-off negativity: project back onto PSD cone
-            vals, vecs = np.linalg.eigh(m)
-            vals = np.clip(vals, 0.0, None)
-            vals /= vals.sum()
-            m = (vecs * vals) @ vecs.conj().T
+        _validate_stack(m[None], self.tol)
         self.matrix = _freeze(m)
 
     @property
@@ -187,6 +170,25 @@ class DensityMatrix:
     def maximally_mixed(cls, n_qubits: int) -> "DensityMatrix":
         d = 2**n_qubits
         return cls(n_qubits, np.eye(d, dtype=complex) / d)
+
+
+def _validate_stack(m: np.ndarray, tol: Tolerances) -> None:
+    """The ``DensityMatrix`` checks on a writable (G, d, d) stack, with one
+    batched ``eigvalsh``: the first failing member raises, and each member that
+    needs the PSD clamp is replaced in place by its projection."""
+    require_hermitian(m, tol.hermitian, "density matrix")
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    if (bad := np.flatnonzero(np.abs(tr - 1.0) > tol.trace_one)).size:
+        raise ValueError(f"density matrix trace is {float(tr[bad[0]])!r}, expected 1")
+    lo = np.linalg.eigvalsh(m)[:, 0]
+    if (bad := np.flatnonzero(lo < -tol.psd)).size:
+        raise ValueError(f"density matrix has negative eigenvalue {lo[bad[0]]:.3e}")
+    for g in np.flatnonzero(lo < -tol.psd_clamp):
+        # meaningful round-off negativity: project back onto PSD cone
+        vals, vecs = np.linalg.eigh(m[g])
+        vals = np.clip(vals, 0.0, None)
+        vals /= vals.sum()
+        m[g] = (vecs * vals) @ vecs.conj().T
 
 
 def ghz_state(n: int) -> PureState:

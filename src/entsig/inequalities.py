@@ -372,34 +372,37 @@ def _contraction_plan(settings) -> tuple[list, np.ndarray]:
 
 
 def _probability_rows(rho, plan, tol: Tolerances) -> np.ndarray:
-    """p[s, o] = <u_so| rho |u_so> for every setting of a contraction plan.
+    """p[..., s, o] = <u_so| rho |u_so> for every setting of a contraction plan
+    and every state of a (..., d, d) stack.
 
     A product setting's outcome distribution factorizes qubit by qubit, so rho
     is contracted with one 2x2 eigenbasis at a time: per level, each node
     turns its parent's (prefix, 2h, 2h) blocks into (prefix + outcome, h, h)
     blocks.  Only separately rounded elementwise products and sums are used,
-    so outcomes that rho cannot produce come out exactly 0.0: the zero-error
-    rule and Poisson sampling depend on it.
+    so outcomes that rho cannot produce come out exactly 0.0 (the zero-error
+    rule and Poisson sampling depend on it), and each state's rows are the
+    same bits whether it is contracted alone or in a stack.
     """
     levels, order = plan
     m = _state_matrix(rho)
-    if m.shape != (2 ** len(levels),) * 2:
+    lead, d = m.shape[:-2], 2 ** len(levels)
+    if m.shape[-2:] != (d, d):
         raise ValueError("state and setting dimensions differ")
-    r = m[None, None]
+    r = m.reshape(-1, 1, 1, d, d)
     for parents, t00, t01, t10, t11 in levels:
-        g, n_prefix, h = len(parents), r.shape[1], r.shape[2] // 2
-        v = r[parents].reshape(g, n_prefix, 1, 2, h, 2, h)
-        r = (t00 * v[:, :, :, 0, :, 0] + t01 * v[:, :, :, 0, :, 1]
-             + t10 * v[:, :, :, 1, :, 0] + t11 * v[:, :, :, 1, :, 1]).reshape(g, 2 * n_prefix, h, h)
-    p = r.real[order].reshape(len(order), -1)
+        g, n_prefix, h = len(parents), r.shape[2], r.shape[3] // 2
+        v = r[:, parents].reshape(-1, g, n_prefix, 1, 2, h, 2, h)
+        r = (t00 * v[..., 0, :, 0, :] + t01 * v[..., 0, :, 1, :]
+             + t10 * v[..., 1, :, 0, :] + t11 * v[..., 1, :, 1, :]).reshape(-1, g, 2 * n_prefix, h, h)
+    p = r.real[:, order].reshape(*lead, len(order), d)
     lowest = float(p.min())
     if lowest < -tol.prob_floor:
         raise ValueError(f"negative outcome probability {lowest:.3e}")
     np.clip(p, 0.0, None, out=p)
-    sums = p.sum(axis=1)
+    sums = p.sum(axis=-1)
     bad = np.flatnonzero(~(np.abs(sums - 1.0) <= tol.prob_sum))  # NaN rows fail too
     if bad.size:
-        raise ValueError(f"outcome probabilities sum to {float(sums[bad[0]])!r}")
+        raise ValueError(f"outcome probabilities sum to {float(sums.flat[bad[0]])!r}")
     return p
 
 
@@ -446,11 +449,16 @@ def inequality_to_json_dict(ineq: BellInequality) -> dict:
 def inequality_from_json_dict(data: dict) -> BellInequality:
     """Rebuild an inequality whose settings use the standard labels X/Y/Z/A/B."""
     try:
-        n = int(data["n_qubits"])
+        count = float(data["n_qubits"])
+        if not count.is_integer():
+            raise ValueError(f"n_qubits must be a whole number, got {data['n_qubits']!r}")
+        n = int(count)
         bound = float(data["lhv_bound"])
+        if not math.isfinite(bound):
+            raise ValueError(f"lhv_bound must be finite, got {bound!r}")
         name = str(data["name"])
         entries = [(str(e["label"]), np.asarray(e["coefficients"], dtype=float)) for e in data["settings"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed inequality description: {exc}") from exc
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n}")

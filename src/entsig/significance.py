@@ -18,14 +18,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import apply_to_all, bit_flip_channel, white_noise
-from .core import DensityMatrix, PureState, expectation, fidelity_with_pure, ghz_state, variance
+from .channels import _bit_flip_all, _require_unit, _white_mix
+from .core import DensityMatrix, PureState, _validate_stack, expectation, fidelity_with_pure, ghz_state, variance
 from .inequalities import BellInequality, Witness, _contraction_plan, _probability_rows, ardehali, mermin
 from .tolerances import DEFAULT, Tolerances
 
-NOISE_FAMILIES = ("bitflip", "white")
+# noise family -> (its strength in range errors, its (G, d, d) stack map)
+_NOISE = {"bitflip": ("flip probability", _bit_flip_all), "white": ("white-noise weight", _white_mix)}
+NOISE_FAMILIES = tuple(_NOISE)
 # noise-parameter range of the default sweep grid and crossing search
 DEFAULT_SPAN = {"bitflip": (0.0, 0.25), "white": (0.0, 0.9)}
+# dense (G, d, d) entries per sweep chunk: 16 grid points at 4 qubits, 1 at 6
+_CHUNK_ENTRIES = 2**12
 
 
 class NoCrossingError(RuntimeError):
@@ -317,13 +321,19 @@ def _as_initial_state(initial_state, n: int) -> DensityMatrix:
     return initial_state
 
 
+def _noisy_stack(m: np.ndarray, family: str, ps) -> np.ndarray:
+    """Unvalidated (G, d, d) stack of ``m`` under each noise strength in ``ps``."""
+    if family not in _NOISE:
+        raise ValueError(f"unknown noise family {family!r}; expected one of {NOISE_FAMILIES}")
+    what, noise = _NOISE[family]
+    for p in ps:
+        _require_unit(p, what)
+    return noise(np.broadcast_to(m, (len(ps),) + m.shape), np.array(ps, dtype=float))
+
+
 def apply_noise(state: DensityMatrix, family: str, p: float) -> DensityMatrix:
     """Bit-flip on every qubit, or global white noise, at strength p."""
-    if family == "bitflip":
-        return apply_to_all(state, bit_flip_channel(p))
-    if family == "white":
-        return white_noise(state, p)
-    raise ValueError(f"unknown noise family {family!r}; expected one of {NOISE_FAMILIES}")
+    return DensityMatrix(state.n_qubits, _noisy_stack(state.matrix, family, [p])[0], tol=state.tol)
 
 
 @dataclass(eq=False)
@@ -384,8 +394,9 @@ def significance_sweep(
     tol: Tolerances = DEFAULT,
 ) -> SweepTable:
     """Evaluate predicted-count significance for each inequality along a noise
-    grid, tracking the GHZ fidelity of the noisy state.  One probability
-    kernel call per grid point serves all inequalities."""
+    grid, tracking the GHZ fidelity of the noisy state.  Each chunk of grid
+    points is one (G, d, d) state stack, validated once, with one kernel call
+    for all inequalities and one estimate pass per inequality."""
     ineqs = list(ineqs)
     if not ineqs:
         raise ValueError("need at least one inequality")
@@ -406,14 +417,20 @@ def significance_sweep(
     splits = np.cumsum([q.n_settings for q in ineqs])[:-1]
     fid = np.zeros(grid.size)
     values = {q.tag: {"V": np.zeros(grid.size), "E": np.zeros(grid.size), "S": np.zeros(grid.size)} for q in ineqs}
-    for i, p in enumerate(grid):
-        noisy = apply_noise(state0, noise, float(p))
-        fid[i] = fidelity_with_pure(noisy, reference, tol)
-        for q, rows in zip(ineqs, np.split(_probability_rows(noisy, plan, tol), splits)):
-            means, errors, _ = setting_estimates(_expected_counts(rows, q, budgets[q.tag]), q.outcome_coeffs, tol)
-            v, e = map(float, _combine(means, errors, q.lhv_bound))
+    step = max(1, _CHUNK_ENTRIES // state0.matrix.size)
+    for start in range(0, grid.size, step):
+        chunk = slice(start, start + step)
+        noisy = _noisy_stack(state0.matrix, noise, grid[chunk].tolist())
+        _validate_stack(noisy, state0.tol)
+        g = len(noisy)
+        fid[chunk] = [fidelity_with_pure(m, reference, tol) for m in noisy]
+        for q, rows in zip(ineqs, np.split(_probability_rows(noisy, plan, tol), splits, axis=1)):
+            counts = _expected_counts(rows, q, budgets[q.tag]).reshape(g * q.n_settings, -1)
+            means, errors, _ = setting_estimates(counts, np.tile(q.outcome_coeffs, (g, 1)), tol)
+            v, e = _combine(means.reshape(g, -1), errors.reshape(g, -1), q.lhv_bound)
             col = values[q.tag]
-            col["V"][i], col["E"][i], col["S"][i] = v, e, _significance_of(v, e, tol)[0]
+            col["V"][chunk], col["E"][chunk] = v, e
+            col["S"][chunk] = [_significance_of(vi, ei, tol)[0] for vi, ei in zip(v.tolist(), e.tolist())]
     return SweepTable(
         noise=noise, n_qubits=n, total_copies=total_copies,
         tags=tuple(q.tag for q in ineqs), p=grid, fidelity=fid, values=values,

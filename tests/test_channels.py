@@ -18,6 +18,7 @@ from entsig import (
     kron_all,
     white_noise,
 )
+from entsig.significance import _noisy_stack
 from conftest import random_density
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -155,6 +156,40 @@ class TestWhiteNoise:
     def test_rejects_bad_weight(self, rho_ghz4):
         with pytest.raises(ValueError):
             white_noise(rho_ghz4, 1.5)
+
+
+class TestNoiseStack:
+    # the sweep builds a whole chunk of noisy states as one (G, d, d) stack;
+    # each member must be the state the public channels give, bit for bit
+    GRID = [0.0, 0.043, 0.15, 1 / 3, 0.5, 0.7, 0.99, 1.0, *np.linspace(0.0, 1.0, 13)]
+
+    @pytest.fixture(params=["ghz4", "ansatz4", "random4", "ghz6", "random6"])
+    def rho(self, request, rng):
+        kind, n = request.param[:-1], int(request.param[-1])
+        if kind == "ghz":
+            return DensityMatrix.from_pure(ghz_state(n))
+        if kind == "ansatz":
+            return experimental_ansatz(AnsatzParams())
+        return random_density(rng, n)
+
+    def test_bitflip_matches_kraus_path(self, rho):
+        stack = _noisy_stack(rho.matrix, "bitflip", self.GRID)
+        for p, member in zip(self.GRID, stack):
+            assert np.array_equal(member, apply_to_all(rho, bit_flip_channel(p)).matrix), p
+
+    def test_white_matches_white_noise(self, rho):
+        stack = _noisy_stack(rho.matrix, "white", self.GRID)
+        for q, member in zip(self.GRID, stack):
+            assert np.array_equal(member, white_noise(rho, q).matrix), q
+
+    @pytest.mark.parametrize("family, message", [
+        ("bitflip", "flip probability must be in \\[0, 1\\], got nan"),
+        ("white", "white-noise weight must be in \\[0, 1\\], got 1.5"),
+    ])
+    def test_range_messages(self, rho_ghz4, family, message):
+        bad = math.nan if family == "bitflip" else 1.5
+        with pytest.raises(ValueError, match=message):
+            _noisy_stack(rho_ghz4.matrix, family, [0.1, bad, 0.2])
 
 
 class TestExperimentalAnsatz:

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -206,6 +207,24 @@ class TestReportCommand:
         code, out, err = run_cli(capsys, "report", "--counts", str(counts_path), "--inequality", str(ineq_path))
         assert code == 3
         assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("lhv_bound", math.nan, "lhv_bound must be finite, got nan"),
+        ("lhv_bound", math.inf, "lhv_bound must be finite, got inf"),
+        ("lhv_bound", -math.inf, "lhv_bound must be finite, got -inf"),
+        ("n_qubits", 4.7, "n_qubits must be a whole number, got 4.7"),
+    ])
+    def test_bad_number_in_inequality_file_is_data_error(self, tmp_path, capsys, rho_ghz4, mermin4,
+                                                          field, value, message):
+        ineq_path = tmp_path / "custom.json"
+        ineq_path.write_text(json.dumps({**inequality_to_json_dict(mermin4), field: value}))
+        counts_path = tmp_path / "counts.json"
+        budget = ShotBudget.equal_split(8000, mermin4)
+        counts_path.write_text(json.dumps(predicted_counts(rho_ghz4, mermin4, budget).to_json_dict()))
+        code, out, err = run_cli(capsys, "report", "--counts", str(counts_path),
+                                 "--inequality", str(ineq_path), "--format", "csv")
+        assert (code, out) == (3, "")
         assert message in err
 
     def test_csv_format(self, tmp_path, capsys, rho_ghz4, mermin4):

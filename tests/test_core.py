@@ -18,6 +18,7 @@ from entsig import (
     tensor,
     variance,
 )
+from entsig.core import _validate_stack
 from conftest import random_density, random_pure
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -127,6 +128,34 @@ class TestStateTypes:
         m = np.diag([0.5, 0.5 + eps, -eps, 0.0]).astype(complex)
         rho = DensityMatrix(2, m)
         assert np.array_equal(rho.matrix, m)
+
+
+class TestValidateStack:
+    # DensityMatrix validates through the stack validator, and the sweep runs
+    # it on whole chunks: each member must get exactly its own treatment
+    FINE = np.diag([0.5, 0.5 + 5e-14, -5e-14, 0.0]).astype(complex)
+
+    def test_clamp_fires_only_on_the_member_that_needs_it(self):
+        eps = 5e-11
+        needs = np.diag([0.5, 0.5 + eps, -eps, 0.0]).astype(complex)
+        stack = np.array([self.FINE, needs, self.FINE])
+        _validate_stack(stack, DEFAULT)
+        assert np.array_equal(stack[0], self.FINE) and np.array_equal(stack[2], self.FINE)
+        assert np.array_equal(stack[1], DensityMatrix(2, needs).matrix)
+        assert np.linalg.eigvalsh(stack[1])[0] >= 0.0
+
+    @pytest.mark.parametrize("bad", [
+        np.eye(4, dtype=complex) / 2,  # trace
+        np.eye(4, dtype=complex) / 4 + 0.1 * np.eye(4, k=1),  # Hermiticity
+        np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex),  # negativity
+        np.full((4, 4), np.nan, dtype=complex),
+    ])
+    def test_invalid_member_raises_its_own_message(self, bad):
+        with pytest.raises(ValueError) as single:
+            DensityMatrix(2, bad)
+        with pytest.raises(ValueError) as stacked:
+            _validate_stack(np.array([self.FINE, bad, self.FINE]), DEFAULT)
+        assert str(stacked.value) == str(single.value)
 
 
 class TestExpectation:

@@ -316,6 +316,20 @@ class TestStackedProbabilities:
         for setting, row in zip(stack, rows):
             assert np.array_equal(outcome_probabilities(rho, setting), row)
 
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_state_stack_rows_match_single_states(self, n, rng):
+        ineqs = (mermin(n), ardehali(n))
+        plan = _contraction_plan([s for q in ineqs for s in q.settings])
+        ghz = DensityMatrix.from_pure(ghz_state(n))
+        states = [ghz, apply_noise(ghz, "bitflip", 0.15), apply_noise(ghz, "white", 0.3), random_density(rng, n)]
+        stack = np.array([rho.matrix for rho in states])
+        rows = _probability_rows(stack, plan, DEFAULT)
+        assert rows.shape == (4, len(plan[1]), 2**n)
+        for rho, got in zip(states, rows):
+            assert got.tobytes() == _probability_rows(rho, plan, DEFAULT).tobytes()
+        grid = _probability_rows(stack.reshape(2, 2, 2**n, 2**n), plan, DEFAULT)
+        assert grid.tobytes() == rows.tobytes() and grid.shape == (2, 2) + rows.shape[1:]
+
     def test_wrong_dimension_rejected(self, mermin4):
         with pytest.raises(ValueError, match="state and setting dimensions differ"):
             mermin4.probabilities(DensityMatrix.maximally_mixed(6))
@@ -439,6 +453,19 @@ class TestSerialization:
                 "settings": [{"label": "X" * 7, "coefficients": [1.0] * 2**7}]}
         with pytest.raises(ValueError, match="n_qubits must be in"):
             inequality_from_json_dict(data)
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bound_rejected(self, mermin4, bound):
+        data = {**inequality_to_json_dict(mermin4), "lhv_bound": bound}
+        with pytest.raises(ValueError, match="malformed inequality description: lhv_bound must be finite"):
+            inequality_from_json_dict(data)
+
+    @pytest.mark.parametrize("count", [4.7, 3.999, math.inf, math.nan])
+    def test_non_integral_qubit_count_rejected(self, mermin4, count):
+        data = {**inequality_to_json_dict(mermin4), "n_qubits": count}
+        with pytest.raises(ValueError, match="malformed inequality description: n_qubits must be a whole number"):
+            inequality_from_json_dict(data)
+        assert inequality_from_json_dict({**data, "n_qubits": 4.0}).n_qubits == 4
 
     def test_standard_observable_labels(self):
         a = standard_observable("A").matrix

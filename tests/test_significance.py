@@ -29,7 +29,7 @@ from entsig import (
     ardehali,
     mermin,
 )
-from entsig.significance import NOISE_FAMILIES, _combine, setting_estimates
+from entsig.significance import _CHUNK_ENTRIES, NOISE_FAMILIES, _combine, setting_estimates
 from conftest import lab_noise_row, random_density
 
 
@@ -432,6 +432,26 @@ class TestSweep:
                 column = [table.values[q.tag][key][i] for key in ("V", "E", "S")]
                 assert bits(column) == bits([rep.violation, rep.error, rep.significance])
         assert math.isinf(table.values["M"]["S"][0])
+
+    @pytest.mark.parametrize("n, noise, grid, state", [
+        (4, "bitflip", np.linspace(0.0, 0.25, 37), None),
+        (4, "white", np.linspace(0.0, 0.9, 37), "ansatz"),
+        (6, "bitflip", [0.0, 0.1, 0.25], None),
+    ])
+    def test_chunks_match_one_point_sweeps(self, n, noise, grid, state):
+        # 37 points at 4 qubits end in a short chunk; a one-point sweep is a
+        # chunk of its own, as in the crossing bisection
+        if n == 4:
+            assert len(grid) % (_CHUNK_ENTRIES // 4**n) != 0
+        ineqs = (mermin(n), ardehali(n))
+        state = experimental_ansatz(AnsatzParams()) if state else None
+        table = significance_sweep(ineqs, noise, grid, initial_state=state)
+        for i, p in enumerate(grid):
+            one = significance_sweep(ineqs, noise, [p], initial_state=state)
+            assert bits(table.fidelity[i]) == bits(one.fidelity[0])
+            for q in ineqs:
+                for key in ("V", "E", "S"):
+                    assert bits(table.values[q.tag][key][i]) == bits(one.values[q.tag][key][0])
 
 
 class TestCrossing:
