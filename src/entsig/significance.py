@@ -28,7 +28,7 @@ _NOISE = {"bitflip": ("flip probability", _bit_flip_all), "white": ("white-noise
 NOISE_FAMILIES = tuple(_NOISE)
 # noise-parameter range of the default sweep grid and crossing search
 DEFAULT_SPAN = {"bitflip": (0.0, 0.25), "white": (0.0, 0.9)}
-# dense (G, d, d) entries per sweep chunk: 16 grid points at 4 qubits, 1 at 6
+# entries per sweep chunk of (G, d, d) states (16 points at 4 qubits, 1 at 6) and per Monte Carlo block of counts
 _CHUNK_ENTRIES = 2**12
 
 
@@ -408,7 +408,7 @@ def significance_sweep(
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0:
         raise ValueError("empty noise grid")
-    if np.any((grid < 0) | (grid > 1)):
+    if np.any(~((grid >= 0) & (grid <= 1))):
         raise ValueError("noise grid values must lie in [0, 1]")
     state0 = _as_initial_state(initial_state, n)
     reference = ghz_state(n)
@@ -535,19 +535,29 @@ def monte_carlo_study(
 ) -> MonteCarloSummary:
     """Validate the propagated error against direct Poisson simulation.
 
-    Runs ``trials`` independent sampled experiments (seeds derived from the
-    trial index, so any execution order gives the same set) and compares the
-    empirical spread of V with the average propagated E.  ``coverage`` is the
-    fraction of trials whose +-1E interval contains the deterministic V.
+    Runs ``trials`` independent sampled experiments and compares the
+    empirical spread of V with the average propagated E.  Trial i draws its
+    counts from its own ``SeedSequence(entropy=seed, spawn_key=(i,))``
+    generator, so any execution order gives the same set; blocks of up to
+    ``_CHUNK_ENTRIES`` counts share one ``setting_estimates`` call, which
+    estimates each row on its own.  ``coverage`` is the fraction of trials
+    whose +-1E interval contains the deterministic V.
     """
+    if not isinstance(trials, (int, np.integer)):
+        raise ValueError(f"trials must be a whole number, got {trials!r}")
     if trials < 100:
         raise ValueError("need at least 100 trials for a meaningful comparison")
     expected = _expected_counts(ineq.probabilities(rho, tol), ineq, budget)
     v_pred = float(_combine(*setting_estimates(expected, ineq.outcome_coeffs, tol)[:2], ineq.lhv_bound)[0])
     means, errors = np.zeros((2, trials, ineq.n_settings))
-    for i in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        means[i], errors[i], _ = setting_estimates(rng.poisson(expected), ineq.outcome_coeffs, tol)
+    block = max(1, _CHUNK_ENTRIES // expected.size)
+    coeffs = np.tile(ineq.outcome_coeffs, (block, 1))
+    for start in range(0, trials, block):
+        stop = min(start + block, trials)
+        rngs = (np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,))) for i in range(start, stop))
+        counts = np.concatenate([rng.poisson(expected) for rng in rngs])
+        m, e, _ = setting_estimates(counts, coeffs[: len(counts)], tol)
+        means[start:stop], errors[start:stop] = m.reshape(stop - start, -1), e.reshape(stop - start, -1)
     v, e = _combine(means, errors, ineq.lhv_bound)
     v_std = float(np.std(v, ddof=1))
     e_mean = float(np.mean(e))

@@ -414,6 +414,10 @@ class TestSweep:
         with pytest.raises(ValueError):
             significance_sweep((mermin4, ardehali4), "nonsense", [0.0])
 
+    def test_nan_grid_value_rejected_by_grid_check(self, mermin4, ardehali4):
+        with pytest.raises(ValueError, match=r"noise grid values must lie in \[0, 1\]"):
+            significance_sweep((mermin4, ardehali4), "bitflip", [0.1, math.nan])
+
     @pytest.mark.parametrize("n, noise, grid", [
         (4, "bitflip", np.linspace(0.0, 0.25, 21)),
         (4, "white", np.linspace(0.0, 0.9, 21)),
@@ -536,6 +540,13 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_study(rho_ghz4, mermin4, budget, trials=10)
 
+    def test_trials_must_be_whole_number(self, rho_ghz4, mermin4):
+        budget = ShotBudget.equal_split(8000, mermin4)
+        with pytest.raises(ValueError, match="trials must be a whole number"):
+            monte_carlo_study(rho_ghz4, mermin4, budget, trials=150.0)
+        summary = monte_carlo_study(rho_ghz4, mermin4, budget, trials=np.int64(150), seed=3)
+        assert summary == monte_carlo_study(rho_ghz4, mermin4, budget, trials=150, seed=3)
+
     def test_error_shrinks_with_root_two(self, mermin4, rho_ghz4):
         noisy = apply_noise(rho_ghz4, "bitflip", 0.05)
         rep1 = evaluate(
@@ -568,6 +579,33 @@ class TestMonteCarlo:
         ]
         v = np.array([r.violation for r in reps])
         e = np.array([r.error for r in reps])
+        v_std, e_mean = float(np.std(v, ddof=1)), float(np.mean(e))
+        reference = MonteCarloSummary(
+            trials, v_pred, float(np.mean(v)), v_std, e_mean, v_std / e_mean,
+            float(np.mean(np.abs(v - v_pred) <= e)),
+        )
+        assert monte_carlo_study(noisy, ineq, budget, trials, seed=seed) == reference
+
+    @pytest.mark.parametrize("n, factory, p, trials", [
+        (4, mermin, 0.15, 137),
+        (4, ardehali, 0.05, 137),
+        (6, mermin, 0.05, 100),
+    ])
+    def test_blocks_match_per_trial_evaluate(self, n, factory, p, trials):
+        # 137 trials leave a partial last block of 32 (Mermin) and 16
+        # (Ardehali) trials; at 6 qubits a block holds 2 trials
+        ineq = factory(n)
+        assert 1 < _CHUNK_ENTRIES // (ineq.n_settings * 2**n) < trials
+        noisy = apply_noise(DensityMatrix.from_pure(ghz_state(n)), "bitflip", p)
+        budget = ShotBudget.equal_split(8000, ineq)
+        seed = 11
+        reps = [
+            evaluate(sample_counts(noisy, ineq, budget, np.random.SeedSequence(entropy=seed, spawn_key=(i,))), ineq)
+            for i in range(trials)
+        ]
+        v = np.array([r.violation for r in reps])
+        e = np.array([r.error for r in reps])
+        v_pred = evaluate(predicted_counts(noisy, ineq, budget), ineq).violation
         v_std, e_mean = float(np.std(v, ddof=1)), float(np.mean(e))
         reference = MonteCarloSummary(
             trials, v_pred, float(np.mean(v)), v_std, e_mean, v_std / e_mean,
