@@ -8,6 +8,8 @@ and constructs witness improvements that drive the variance-model error to
 zero on a detected pure state.
 """
 
+import types
+
 from .channels import (
     AnsatzParams,
     SingleQubitChannel,
@@ -79,64 +81,8 @@ from .tolerances import DEFAULT, Tolerances
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnsatzParams",
-    "BellInequality",
-    "CountTable",
-    "CrossingResult",
-    "DEFAULT",
-    "DensityMatrix",
-    "ImprovementResult",
-    "MeasurementSetting",
-    "MonteCarloSummary",
-    "NoCrossingError",
-    "ProductObservable",
-    "PureState",
-    "SettingEstimate",
-    "ShotBudget",
-    "SignificanceReport",
-    "SingleQubitChannel",
-    "SingleQubitObservable",
-    "SweepTable",
-    "Tolerances",
-    "Witness",
-    "apply_local",
-    "apply_noise",
-    "apply_to_all",
-    "ardehali",
-    "bit_flip_channel",
-    "crossing_point",
-    "evaluate",
-    "exact_improvement",
-    "expectation",
-    "experimental_ansatz",
-    "fidelity_with_pure",
-    "generic_inequality",
-    "ghz_fidelity_formula",
-    "ghz_state",
-    "hermitian_eig",
-    "inequality_from_json_dict",
-    "inequality_to_json_dict",
-    "kron_all",
-    "lhv_bound_bruteforce",
-    "mermin",
-    "monte_carlo_study",
-    "optimal_orthogonal_direction",
-    "outcome_probabilities",
-    "pauli",
-    "perturbative_step",
-    "predicted_counts",
-    "projector_witness",
-    "q_operator",
-    "sample_counts",
-    "separable_safety_check",
-    "setting_estimate",
-    "significance_sweep",
-    "standard_observable",
-    "tensor",
-    "variance",
-    "variance_model_significance",
-    "violation",
-    "white_noise",
-    "witness_violation",
-]
+# a name imported here without a leading underscore is public
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -73,10 +73,6 @@ def _jsonable(value):
         if math.isnan(value):
             return "nan"
         return float(_fmt(value))
-    if isinstance(value, (np.floating,)):
-        return _jsonable(float(value))
-    if isinstance(value, (np.integer,)):
-        return int(value)
     return value
 
 
@@ -139,23 +135,31 @@ def _initial_state(args) -> tuple[DensityMatrix, dict]:
     return state, meta
 
 
+def _read_json(path: str, prefix: str, kind: str, parse):
+    """``parse`` of a JSON file; unreadable files, invalid JSON and values that
+    ``parse`` rejects are data errors."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read {prefix}{path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{kind} file {path!r} is not valid JSON: {exc}") from exc
+    # parsed outside the load's try: a file that is not UTF-8 raises a plain
+    # ValueError in json.load, which stays a configuration error
+    try:
+        return parse(data)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
+
+
 def _inequality(name: str, n: int) -> BellInequality:
     if name == "mermin":
         return mermin(n)
     if name == "ardehali":
         return ardehali(n)
     # anything else is read as a custom-inequality JSON file
-    try:
-        with open(name, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read inequality {name!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"inequality file {name!r} is not valid JSON: {exc}") from exc
-    try:
-        return inequality_from_json_dict(data)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    return _read_json(name, "inequality ", "inequality", inequality_from_json_dict)
 
 
 def _report_csv(report: SignificanceReport) -> str:
@@ -175,7 +179,7 @@ def _report_csv(report: SignificanceReport) -> str:
 
 
 def cmd_sweep(args) -> int:
-    grid = _parse_grid(args.grid) if args.grid else _default_grid(args.noise)
+    grid = _parse_grid(args.grid) if args.grid else np.linspace(*DEFAULT_SPAN[args.noise], 200)
     state, meta = _initial_state(args)
     ineqs = (mermin(args.qubits), ardehali(args.qubits))
     table = significance_sweep(ineqs, args.noise, grid, initial_state=state, total_copies=args.shots)
@@ -185,11 +189,6 @@ def cmd_sweep(args) -> int:
     else:
         _write_output(_dump_json(table.to_json_dict()), args.out)
     return EXIT_OK
-
-
-def _default_grid(noise: str) -> np.ndarray:
-    lo, hi = DEFAULT_SPAN[noise]
-    return np.linspace(lo, hi, 200)
 
 
 def cmd_crossing(args) -> int:
@@ -215,17 +214,7 @@ def cmd_crossing(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        with open(args.counts, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read {args.counts!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"count file {args.counts!r} is not valid JSON: {exc}") from exc
-    try:
-        counts = CountTable.from_json_dict(data)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    counts = _read_json(args.counts, "", "count", CountTable.from_json_dict)
     ineq = _inequality(args.inequality, args.qubits)
     try:
         report = evaluate(counts, ineq)
@@ -377,6 +366,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")

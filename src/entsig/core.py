@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -95,10 +96,7 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def kron_all(factors) -> np.ndarray:
     """Kronecker product of a sequence of matrices, left factor most significant."""
-    out = np.array([[1.0 + 0j]])
-    for f in factors:
-        out = np.kron(out, np.asarray(f, dtype=complex))
-    return out
+    return reduce(np.kron, (np.asarray(f, dtype=complex) for f in factors), np.array([[1.0 + 0j]]))
 
 
 @dataclass(eq=False)
@@ -236,11 +234,10 @@ def variance(state, obs, tol: Tolerances = DEFAULT) -> float:
     moments would cancel catastrophically.
     """
     m = _as_matrix(obs)
+    mean = expectation(state, m, tol)
     if isinstance(state, PureState):
-        mean = expectation(state, m, tol)
         resid = m @ state.amplitudes - mean * state.amplitudes
         return float(np.sum(np.abs(resid) ** 2))
-    mean = expectation(state, m, tol)
     centered = m - mean * np.eye(m.shape[0])
     var = expectation(state, centered @ centered, tol)
     if var < -tol.variance_floor:

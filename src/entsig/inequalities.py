@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -162,17 +163,6 @@ class BellInequality:
         raise KeyError(f"inequality {self.name!r} has no setting {label!r}")
 
 
-def _outcome_signs(n: int) -> np.ndarray:
-    """(2**n, n) array of +-1: sign of qubit k in outcome o."""
-    o = np.arange(2**n)[:, None]
-    bits = (o >> (n - 1 - np.arange(n))[None, :]) & 1
-    return 1 - 2 * bits
-
-
-def _parity(n: int) -> np.ndarray:
-    return _outcome_signs(n).prod(axis=1).astype(float)
-
-
 def _even_y_coefficient(y_count: int) -> float:
     return float((-1) ** (y_count // 2))
 
@@ -187,7 +177,7 @@ def _parity_inequality(name: str, tag: str, n: int, terms, lhv_bound: float) -> 
     """One setting per (labels, coefficient) term, each with outcome
     coefficients coefficient * parity; the bound is brute-forced for n != 4."""
     settings, coeff_rows, op = [], [], np.zeros((2**n, 2**n), dtype=complex)
-    par = _parity(n)
+    par = reduce(np.kron, [np.array([1.0, -1.0])] * n)
     for labels, c in terms:
         obs = tuple(standard_observable(l) for l in labels)
         settings.append(MeasurementSetting(obs))
@@ -280,12 +270,7 @@ def generic_inequality(
                     f"in the {setting.label!r} setting"
                 )
             per_qubit.append(np.real(np.diag(diag)))
-        signs = _outcome_signs(n)
-        values = np.ones(d)
-        for k in range(n):
-            f_plus, f_minus = per_qubit[k]
-            values = values * np.where(signs[:, k] > 0, f_plus, f_minus)
-        coeffs[s_idx] += term.coefficient * values
+        coeffs[s_idx] += term.coefficient * reduce(np.kron, per_qubit)
         op += term.matrix()
     return BellInequality(
         name=name, tag=tag or name, n_qubits=n,
@@ -333,10 +318,7 @@ def lhv_bound_bruteforce(ineq: BellInequality) -> float:
     total = np.zeros(count)
     for s_idx, st in enumerate(ineq.settings):
         cols = [pair_index[(k, obs.label)] for k, obs in enumerate(st.observables)]
-        bits = (signs[:, cols] < 0).astype(np.int64)
-        o = np.zeros(count, dtype=np.int64)
-        for k in range(n):
-            o = (o << 1) | bits[:, k]
+        o = (signs[:, cols] < 0) @ (1 << np.arange(n - 1, -1, -1))
         total += ineq.outcome_coeffs[s_idx][o]
     return float(total.max())
 

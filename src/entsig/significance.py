@@ -14,7 +14,7 @@ infinite when the error vanishes while the violation is positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -170,10 +170,7 @@ class SignificanceReport:
             "error": self.error,
             "significance": "inf" if self.infinite else self.significance,
             "degenerate": self.degenerate,
-            "settings": [
-                {"label": s.label, "mean": s.mean, "error": s.error, "n_total": s.n_total}
-                for s in self.per_setting
-            ],
+            "settings": [asdict(s) for s in self.per_setting],
             "metadata": self.metadata,
         }
 
@@ -513,16 +510,7 @@ class MonteCarloSummary:
     coverage: float
 
     def to_json_dict(self) -> dict:
-        out = {
-            "trials": self.trials,
-            "predicted_violation": self.predicted_violation,
-            "violation_mean": self.violation_mean,
-            "violation_std": self.violation_std,
-            "error_mean": self.error_mean,
-            "std_ratio": self.std_ratio,
-            "coverage": self.coverage,
-        }
-        return {k: (v if not isinstance(v, float) or math.isfinite(v) else "nan") for k, v in out.items()}
+        return {k: (v if not isinstance(v, float) or math.isfinite(v) else "nan") for k, v in asdict(self).items()}
 
 
 def monte_carlo_study(

@@ -227,6 +227,19 @@ class TestReportCommand:
         assert (code, out) == (3, "")
         assert message in err
 
+    @pytest.mark.parametrize("option", ["--counts", "--inequality"])
+    def test_non_utf8_file_is_config_error(self, tmp_path, capsys, rho_ghz4, mermin4, option):
+        # json.load raises the decode error, a ValueError that is not a JSON
+        # syntax error: it stays a configuration error, not a data error
+        counts_path, binary = tmp_path / "counts.json", tmp_path / "binary.json"
+        budget = ShotBudget.equal_split(8000, mermin4)
+        counts_path.write_text(json.dumps(predicted_counts(rho_ghz4, mermin4, budget).to_json_dict()))
+        binary.write_bytes(b"\xff\xfe\x00")
+        paths = {"--counts": str(counts_path), "--inequality": "mermin", option: str(binary)}
+        code, out, err = run_cli(capsys, "report", *[x for item in paths.items() for x in item])
+        assert (code, out) == (2, "")
+        assert err == "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+
     def test_csv_format(self, tmp_path, capsys, rho_ghz4, mermin4):
         budget = ShotBudget.equal_split(8000, mermin4)
         path = tmp_path / "counts.json"
@@ -266,6 +279,13 @@ class TestPredictCommand:
         assert code == 2
         assert message in err
         assert out == ""
+
+
+@pytest.mark.parametrize("command", ["predict", "montecarlo"])
+def test_negative_seed_names_the_option(capsys, command):
+    code, out, err = run_cli(capsys, command, "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --seed must be a non-negative integer, got -1\n"
 
 
 class TestImproveCommand:

@@ -160,6 +160,33 @@ class TestGenericInequality:
                 [ProductObservable(1.0, (x, z))], [MeasurementSetting((z, z))], [0], lhv_bound=1.0
             )
 
+    def test_mixed_terms_match_per_qubit_product_exactly(self):
+        # identity factors, A/B factors and two terms per setting; the oracle
+        # multiplies each term's per-qubit diagonals left to right over the
+        # outcome signs, and the result must agree bit for bit
+        def obs(labels):
+            return tuple(standard_observable(c) for c in labels)
+
+        settings = [MeasurementSetting(obs(s)) for s in ("ZZAX", "XYBZ", "ZYAZ")]
+        spec = [(0.7, "ZIAX", 0), (-0.3, "ZZAI", 0), (1.1, "XYBZ", 1),
+                (0.25, "IYBI", 1), (-0.6, "ZYAZ", 2), (0.4, "IIAI", 2)]
+        terms = [ProductObservable(c, obs(labels)) for c, labels, _ in spec]
+        ineq = generic_inequality(terms, settings, [s for *_, s in spec], lhv_bound=1.0)
+
+        n, d = 4, 16
+        signs = 1 - 2 * ((np.arange(d)[:, None] >> (n - 1 - np.arange(n))[None, :]) & 1)
+        expected = np.zeros((len(settings), d))
+        for term, (_, _, s_idx) in zip(terms, spec):
+            values = np.ones(d)
+            for k, factor in enumerate(term.factors):
+                u = settings[s_idx].observables[k].eigenbasis()
+                f_plus, f_minus = np.real(np.diag(u.conj().T @ factor.matrix @ u))
+                values = values * np.where(signs[:, k] > 0, f_plus, f_minus)
+            expected[s_idx] += term.coefficient * values
+        assert np.array_equal(ineq.outcome_coeffs, expected)
+        # recorded before the per-qubit product became a kron of the diagonals
+        assert lhv_bound_bruteforce(ineq) == 3.3499999999999983
+
     def test_operator_matches_coefficients(self, rng):
         ineq = self.build_two_qubit(0.3, 0.5, -0.8)
         for _ in range(5):
