@@ -175,14 +175,20 @@ def _xy_labels(mask: int, m: int) -> str:
 
 def _parity_inequality(name: str, tag: str, n: int, terms, lhv_bound: float) -> BellInequality:
     """One setting per (labels, coefficient) term, each with outcome
-    coefficients coefficient * parity; the bound is brute-forced for n != 4."""
+    coefficients coefficient * parity; the bound is brute-forced for n != 4.
+    The c * ``kron_all`` operator terms reuse the prefixes of the previous one."""
     settings, coeff_rows, op = [], [], np.zeros((2**n, 2**n), dtype=complex)
     par = reduce(np.kron, [np.array([1.0, -1.0])] * n)
+    prefix, built = [np.array([[1.0 + 0j]])], ""
     for labels, c in terms:
         obs = tuple(standard_observable(l) for l in labels)
         settings.append(MeasurementSetting(obs))
         coeff_rows.append(c * par)
-        op += c * kron_all([o.matrix for o in obs])
+        del prefix[1 + next((k for k, (x, y) in enumerate(zip(labels, built)) if x != y), len(built)):]
+        for o in obs[len(prefix) - 1:]:  # np.kron's product, one factor at a time
+            prefix.append((prefix[-1][:, None, :, None] * o.matrix[None, :, None, :]).reshape(2 * len(prefix[-1]), -1))
+        op += c * prefix[-1]
+        built = labels
     ineq = BellInequality(
         name=name, tag=tag, n_qubits=n,
         settings=tuple(settings), outcome_coeffs=np.array(coeff_rows),

@@ -382,18 +382,11 @@ class SweepTable:
         }
 
 
-def significance_sweep(
-    ineqs,
-    noise: str,
-    grid,
-    initial_state=None,
-    total_copies: float = 8000.0,
-    tol: Tolerances = DEFAULT,
-) -> SweepTable:
-    """Evaluate predicted-count significance for each inequality along a noise
-    grid, tracking the GHZ fidelity of the noisy state.  Each chunk of grid
-    points is one (G, d, d) state stack, validated once, with one kernel call
-    for all inequalities and one estimate pass per inequality."""
+def _sweep_evaluator(ineqs, noise: str, grid, initial_state, total_copies: float, tol: Tolerances):
+    """Check a sweep's arguments and build what its chunks share (budgets, tiled
+    coefficients, one plan).  Returns ``(ineqs, grid, step, chunk)``: ``chunk(ps)``
+    runs at most ``step`` noise strengths as one validated (G, d, d) state stack
+    and one kernel call, giving (G,) fidelities and an (n_ineqs, 3, G) V, E, S table."""
     ineqs = list(ineqs)
     if not ineqs:
         raise ValueError("need at least one inequality")
@@ -409,28 +402,45 @@ def significance_sweep(
         raise ValueError("noise grid values must lie in [0, 1]")
     state0 = _as_initial_state(initial_state, n)
     reference = ghz_state(n)
-    budgets = {q.tag: ShotBudget.equal_split(total_copies, q) for q in ineqs}
+    step = max(1, _CHUNK_ENTRIES // state0.matrix.size)
+    parts = [(q, ShotBudget.equal_split(total_copies, q), np.tile(q.outcome_coeffs, (step, 1))) for q in ineqs]
     plan = _contraction_plan([s for q in ineqs for s in q.settings])
     splits = np.cumsum([q.n_settings for q in ineqs])[:-1]
-    fid = np.zeros(grid.size)
-    values = {q.tag: {"V": np.zeros(grid.size), "E": np.zeros(grid.size), "S": np.zeros(grid.size)} for q in ineqs}
-    step = max(1, _CHUNK_ENTRIES // state0.matrix.size)
-    for start in range(0, grid.size, step):
-        chunk = slice(start, start + step)
-        noisy = _noisy_stack(state0.matrix, noise, grid[chunk].tolist())
+
+    def chunk(ps):
+        noisy = _noisy_stack(state0.matrix, noise, ps)
         _validate_stack(noisy, state0.tol)
         g = len(noisy)
-        fid[chunk] = [fidelity_with_pure(m, reference, tol) for m in noisy]
-        for q, rows in zip(ineqs, np.split(_probability_rows(noisy, plan, tol), splits, axis=1)):
-            counts = _expected_counts(rows, q, budgets[q.tag]).reshape(g * q.n_settings, -1)
-            means, errors, _ = setting_estimates(counts, np.tile(q.outcome_coeffs, (g, 1)), tol)
+        fid = [fidelity_with_pure(m, reference, tol) for m in noisy]
+        table = []
+        for (q, budget, coeffs), rows in zip(parts, np.split(_probability_rows(noisy, plan, tol), splits, axis=1)):
+            counts = _expected_counts(rows, q, budget).reshape(g * q.n_settings, -1)
+            means, errors, _ = setting_estimates(counts, coeffs[: len(counts)], tol)
             v, e = _combine(means.reshape(g, -1), errors.reshape(g, -1), q.lhv_bound)
-            col = values[q.tag]
-            col["V"][chunk], col["E"][chunk] = v, e
-            col["S"][chunk] = [_significance_of(vi, ei, tol)[0] for vi, ei in zip(v.tolist(), e.tolist())]
+            table.append((v, e, [_significance_of(vi, ei, tol)[0] for vi, ei in zip(v.tolist(), e.tolist())]))
+        return np.array(fid), np.array(table)
+
+    return ineqs, grid, step, chunk
+
+
+def significance_sweep(
+    ineqs,
+    noise: str,
+    grid,
+    initial_state=None,
+    total_copies: float = 8000.0,
+    tol: Tolerances = DEFAULT,
+) -> SweepTable:
+    """Evaluate predicted-count significance for each inequality along a noise
+    grid, tracking the GHZ fidelity of the noisy state, one evaluator chunk of
+    grid points (one state stack and one kernel call) at a time."""
+    ineqs, grid, step, chunk = _sweep_evaluator(ineqs, noise, grid, initial_state, total_copies, tol)
+    chunks = [chunk(grid[i:i + step].tolist()) for i in range(0, grid.size, step)]
+    fid, table = (np.concatenate(x, axis=-1) for x in zip(*chunks))
     return SweepTable(
-        noise=noise, n_qubits=n, total_copies=total_copies,
-        tags=tuple(q.tag for q in ineqs), p=grid, fidelity=fid, values=values,
+        noise=noise, n_qubits=ineqs[0].n_qubits, total_copies=total_copies,
+        tags=tuple(q.tag for q in ineqs), p=grid, fidelity=fid,
+        values={q.tag: dict(zip("VES", ves)) for q, ves in zip(ineqs, table)},
         metadata={"inequalities": [q.name for q in ineqs]},
     )
 
@@ -455,10 +465,12 @@ def crossing_point(
 ) -> CrossingResult:
     """Locate where the two inequalities swap significance order.
 
-    Sweeps a coarse grid for a sign change of S_first - S_second (infinities
-    compare as larger than any finite value), then bisects the bracketing
-    interval down to the configured noise-parameter resolution with one-point
-    sweeps.  ``span`` defaults to the family's ``DEFAULT_SPAN``.
+    Scans a coarse grid, one sweep chunk at a time, up to the chunk that
+    completes the first sign change of S_first - S_second (infinities compare
+    as larger than any finite value; ties are skipped); later grid points are
+    never evaluated.  Then bisects the bracket down to the configured
+    noise-parameter resolution.  The sweep set-up is built once per search.
+    ``span`` defaults to the family's ``DEFAULT_SPAN``.
     """
     if noise not in DEFAULT_SPAN:
         raise ValueError(f"unknown noise family {noise!r}; expected one of {NOISE_FAMILIES}")
@@ -471,21 +483,22 @@ def crossing_point(
     lo, hi = span
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"invalid search span {span!r}")
+    _, grid, step, chunk = _sweep_evaluator((first, second), noise, np.linspace(lo, hi, coarse), state0, total_copies, tol)
 
-    def signs_at(grid) -> np.ndarray:
-        table = significance_sweep((first, second), noise, grid, state0, total_copies, tol)
-        s0, s1 = (table.values[q.tag]["S"] for q in (first, second))
+    def signs_at(ps) -> np.ndarray:
+        s0, s1 = chunk(ps)[1][:, 2]
         return (s0 > s1).astype(int) - (s0 < s1)
 
-    grid = np.linspace(lo, hi, coarse)
-    signs = signs_at(grid)
-    # first pair of neighbouring nonzero signs that differ; ties are skipped
-    nonzero = np.flatnonzero(signs)
-    flips = np.flatnonzero(signs[nonzero[1:]] != signs[nonzero[:-1]])
-    if flips.size == 0:
-        raise NoCrossingError(
-            f"significance difference does not change sign on [{lo:g}, {hi:g}] for {noise} noise"
-        )
+    signs = np.zeros(0, dtype=int)
+    for start in range(0, grid.size, step):
+        signs = np.append(signs, signs_at(grid[start:start + step].tolist()))
+        # first pair of neighbouring nonzero signs that differ; ties are skipped
+        nonzero = np.flatnonzero(signs)
+        flips = np.flatnonzero(signs[nonzero[1:]] != signs[nonzero[:-1]])
+        if flips.size:
+            break
+    else:
+        raise NoCrossingError(f"significance difference does not change sign on [{lo:g}, {hi:g}] for {noise} noise")
     i, j = nonzero[flips[0]], nonzero[flips[0] + 1]
     a, b, sign_a = float(grid[i]), float(grid[j]), signs[i]
     while b - a > tol.bisection:

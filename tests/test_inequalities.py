@@ -23,6 +23,7 @@ from entsig import (
     ghz_state,
     inequality_from_json_dict,
     inequality_to_json_dict,
+    kron_all,
     lhv_bound_bruteforce,
     mermin,
     outcome_probabilities,
@@ -409,6 +410,28 @@ class TestStackedProbabilities:
             assert standard_observable(label) is obs
             assert obs.eigenbasis() is obs.eigenbasis()
             assert not obs.eigenbasis().flags.writeable
+
+
+class TestParityOperatorOracle:
+    # the brute-force bounds as the per-term construction gave them
+    BOUNDS = {"mermin4": 4.0, "mermin6": 8.0,
+              "ardehali4": float.fromhex("0x1.6a09e667f3bcdp+1"), "ardehali6": float.fromhex("0x1.6a09e667f3bcep+2")}
+
+    @pytest.mark.parametrize("builder", [mermin, ardehali])
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_matches_per_term_kron_bytes(self, builder, n):
+        # the construction the shared-prefix products replaced: one kron_all
+        # per term, each c * K added in term order; tobytes() also compares
+        # the signs of zeros, which np.array_equal does not
+        ineq = builder(n)
+        parity = functools.reduce(np.kron, [np.array([1.0, -1.0])] * n)
+        op = np.zeros((2**n, 2**n), dtype=complex)
+        for setting, row in zip(ineq.settings, ineq.outcome_coeffs):
+            c = row[0]
+            assert np.all(row == c * parity)
+            op += c * kron_all([o.matrix for o in setting.observables])
+        assert ineq.operator.tobytes() == op.tobytes()
+        assert ineq.lhv_bound == self.BOUNDS[ineq.name]
 
 
 class TestOperatorCoefficientConsistency:

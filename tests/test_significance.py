@@ -29,6 +29,7 @@ from entsig import (
     ardehali,
     mermin,
 )
+import entsig.significance as significance
 from entsig.significance import _CHUNK_ENTRIES, NOISE_FAMILIES, _combine, setting_estimates
 from conftest import lab_noise_row, random_density
 
@@ -485,6 +486,35 @@ class TestCrossing:
         below = table.fidelity < res.fidelity_star - 1e-6
         assert np.all(s_m[above] >= s_a[above])
         assert np.all(s_a[below] > s_m[below])
+
+    def test_empty_coarse_grid(self):
+        with pytest.raises(ValueError, match="empty noise grid"):
+            crossing_point("bitflip", 4, coarse=0)
+
+    def test_one_point_coarse_grid_has_no_crossing(self):
+        with pytest.raises(NoCrossingError):
+            crossing_point("bitflip", 4, coarse=1)
+
+    @pytest.mark.parametrize("noise, n, state, states", [
+        ("bitflip", 4, None, 30),
+        ("white", 4, None, 32),
+        ("bitflip", 6, None, 34),
+        ("white", 6, None, 39),
+        ("bitflip", 4, "ansatz", 30),
+    ])
+    def test_states_built_per_search(self, monkeypatch, noise, n, state, states):
+        # the coarse scan stops after the chunk that completes the first sign
+        # change: 16-point chunks at 4 qubits, 1-point chunks at 6; then the
+        # bisection steps and the state at p*, and one contraction plan
+        initial = experimental_ansatz(AnsatzParams()) if state else None
+        expected = crossing_point(noise, n, initial_state=initial)
+        built, plans = [], []
+        noisy_stack, contraction_plan = significance._noisy_stack, significance._contraction_plan
+        monkeypatch.setattr(significance, "_noisy_stack", lambda m, f, ps: built.append(len(ps)) or noisy_stack(m, f, ps))
+        monkeypatch.setattr(significance, "_contraction_plan", lambda s: plans.append(1) or contraction_plan(s))
+        assert crossing_point(noise, n, initial_state=initial) == expected
+        assert sum(built) == states
+        assert len(plans) == 1
 
 
 class TestCountTableIO:
