@@ -29,6 +29,7 @@ from .core import (
 from .tolerances import DEFAULT, Tolerances
 
 SQRT2 = math.sqrt(2.0)
+_BOUND_CACHE: dict[str, float] = {}  # inequality name -> brute-forced LHV bound
 
 
 _STANDARD = {label: pauli(label) for label in ("I", "X", "Y", "Z")}
@@ -136,6 +137,8 @@ class BellInequality:
         coeffs = np.array(self.outcome_coeffs, dtype=float)
         if coeffs.shape != (len(self.settings), 2**self.n_qubits):
             raise ValueError("outcome coefficient table has wrong shape")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("outcome coefficients must be finite")
         if not self.settings:
             raise ValueError("at least one setting required")
         labels = [s.label for s in self.settings]
@@ -195,7 +198,9 @@ def _parity_inequality(name: str, tag: str, n: int, terms, lhv_bound: float) -> 
         lhv_bound=lhv_bound, operator=op,
     )
     if n != 4:
-        ineq.lhv_bound = _cached_bruteforce_bound(ineq)
+        if name not in _BOUND_CACHE:
+            _BOUND_CACHE[name] = lhv_bound_bruteforce(ineq)
+        ineq.lhv_bound = _BOUND_CACHE[name]
     return ineq
 
 
@@ -222,12 +227,8 @@ def ardehali(n: int) -> BellInequality:
     for mask in range(2 ** (n - 1)):
         labels = _xy_labels(mask, n - 1)
         y_count = bin(mask).count("1")
-        if y_count % 2 == 0:
-            c_a = c_b = _even_y_coefficient(y_count) / SQRT2
-        else:
-            s = float((-1) ** ((y_count - 1) // 2))
-            c_a, c_b = -s / SQRT2, s / SQRT2
-        terms += [(labels + "A", c_a), (labels + "B", c_b)]
+        c = _even_y_coefficient(y_count) / SQRT2  # odd #Y: (-1)**((y-1)//2) == (-1)**(y//2)
+        terms += [(labels + "A", -c if y_count % 2 else c), (labels + "B", c)]
     return _parity_inequality(f"ardehali{n}", "A", n, terms, 2.0 * SQRT2)
 
 
@@ -285,16 +286,6 @@ def generic_inequality(
     )
 
 
-_BOUND_CACHE: dict[str, float] = {}
-
-
-def _cached_bruteforce_bound(ineq: BellInequality) -> float:
-    key = ineq.name
-    if key not in _BOUND_CACHE:
-        _BOUND_CACHE[key] = lhv_bound_bruteforce(ineq)
-    return _BOUND_CACHE[key]
-
-
 def lhv_bound_bruteforce(ineq: BellInequality) -> float:
     """Maximum of the inequality over deterministic local models.
 
@@ -303,21 +294,16 @@ def lhv_bound_bruteforce(ineq: BellInequality) -> float:
     up directly.  Requires at most two distinct observables per party.
     """
     n = ineq.n_qubits
-    pairs: list[tuple[int, str]] = []
-    pair_index: dict[tuple[int, str], int] = {}
-    per_party: dict[int, set] = {k: set() for k in range(n)}
-    for st in ineq.settings:
-        for k, obs in enumerate(st.observables):
-            key = (k, obs.label)
-            if key not in pair_index:
-                per_party[k].add(obs.label)
-                if len(per_party[k]) > 2:
-                    raise ValueError(
-                        f"party {k} measures more than two distinct observables; "
-                        "brute-force enumeration not supported"
-                    )
-                pair_index[key] = len(pairs)
-                pairs.append(key)
+    pairs = list(dict.fromkeys((k, obs.label) for st in ineq.settings for k, obs in enumerate(st.observables)))
+    pair_index = {key: i for i, key in enumerate(pairs)}
+    labels_seen = [0] * n
+    for k, _ in pairs:  # in order of first use, so the first party to exceed two is named
+        labels_seen[k] += 1
+        if labels_seen[k] > 2:
+            raise ValueError(
+                f"party {k} measures more than two distinct observables; "
+                "brute-force enumeration not supported"
+            )
     m = len(pairs)
     count = 1 << m
     signs = 1 - 2 * ((np.arange(count)[:, None] >> np.arange(m)[None, :]) & 1)

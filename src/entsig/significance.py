@@ -208,34 +208,35 @@ def sample_counts(rho, ineq: BellInequality, budget: ShotBudget, seed, tol: Tole
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products, each rounded exactly as ``a[s] @ b[s]``."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    """Last-axis dot products, broadcast, each rounded exactly as ``a[s] @ b[s]``."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def setting_estimates(counts, coeffs, tol: Tolerances = DEFAULT) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Means, Gaussian-propagated errors and total counts of a stack of settings.
 
-    ``counts`` and ``coeffs`` are (n_settings, n_outcomes) arrays, one row per
-    setting.  When every outcome that actually occurred in a row carries the
-    same coefficient (stabilizer measurements, single-outcome support), that
-    row's mean equals the first such coefficient and its error is exactly
-    zero; the general formula only blurs this with round-off.
+    ``counts`` is a (..., n_settings, n_outcomes) stack of count tables and
+    ``coeffs`` the (n_settings, n_outcomes) coefficient table; each row is
+    estimated on its own.  When every outcome that actually occurred in a row
+    carries the same coefficient (stabilizer measurements, single-outcome
+    support), that row's mean equals the first such coefficient and its error
+    is exactly zero; the general formula only blurs this with round-off.
     """
     n = np.asarray(counts, dtype=float)
     lam = np.asarray(coeffs, dtype=float)
-    if n.shape != lam.shape or n.ndim != 2:
+    if lam.ndim != 2 or n.shape[-2:] != lam.shape:
         raise ValueError("counts and coefficients must have matching shape")
     if np.any(n < 0):
         raise ValueError("negative counts")
-    n_tot = n.sum(axis=1)
+    n_tot = n.sum(axis=-1)
     if np.any(n_tot <= 0):
         raise ValueError("no events recorded in this setting")
     supported = n > 0
-    spread = np.where(supported, lam, -np.inf).max(axis=1) - np.where(supported, lam, np.inf).min(axis=1)
+    spread = np.where(supported, lam, -np.inf).max(axis=-1) - np.where(supported, lam, np.inf).min(axis=-1)
     flat = spread <= tol.coeff_spread
     mean = _row_dot(lam, n) / n_tot
-    err_sq = _row_dot((lam - mean[:, None]) ** 2, n) / (n_tot * n_tot)
-    first = lam[np.arange(len(lam)), supported.argmax(axis=1)]
+    err_sq = _row_dot((lam - mean[..., None]) ** 2, n) / (n_tot * n_tot)
+    first = lam[np.arange(len(lam)), supported.argmax(axis=-1)]
     return np.where(flat, first, mean), np.where(flat, 0.0, np.sqrt(err_sq)), n_tot
 
 
@@ -383,10 +384,10 @@ class SweepTable:
 
 
 def _sweep_evaluator(ineqs, noise: str, grid, initial_state, total_copies: float, tol: Tolerances):
-    """Check a sweep's arguments and build what its chunks share (budgets, tiled
-    coefficients, one plan).  Returns ``(ineqs, grid, step, chunk)``: ``chunk(ps)``
-    runs at most ``step`` noise strengths as one validated (G, d, d) state stack
-    and one kernel call, giving (G,) fidelities and an (n_ineqs, 3, G) V, E, S table."""
+    """Check a sweep's arguments and build what its chunks share (budgets, one
+    plan).  Returns ``(ineqs, grid, step, chunk)``: ``chunk(ps)`` runs at most
+    ``step`` noise strengths as one validated (G, d, d) state stack and one
+    kernel call, giving (G,) fidelities and an (n_ineqs, 3, G) V, E, S table."""
     ineqs = list(ineqs)
     if not ineqs:
         raise ValueError("need at least one inequality")
@@ -403,20 +404,18 @@ def _sweep_evaluator(ineqs, noise: str, grid, initial_state, total_copies: float
     state0 = _as_initial_state(initial_state, n)
     reference = ghz_state(n)
     step = max(1, _CHUNK_ENTRIES // state0.matrix.size)
-    parts = [(q, ShotBudget.equal_split(total_copies, q), np.tile(q.outcome_coeffs, (step, 1))) for q in ineqs]
+    budgets = [ShotBudget.equal_split(total_copies, q) for q in ineqs]
     plan = _contraction_plan([s for q in ineqs for s in q.settings])
     splits = np.cumsum([q.n_settings for q in ineqs])[:-1]
 
     def chunk(ps):
         noisy = _noisy_stack(state0.matrix, noise, ps)
         _validate_stack(noisy, state0.tol)
-        g = len(noisy)
         fid = [fidelity_with_pure(m, reference, tol) for m in noisy]
         table = []
-        for (q, budget, coeffs), rows in zip(parts, np.split(_probability_rows(noisy, plan, tol), splits, axis=1)):
-            counts = _expected_counts(rows, q, budget).reshape(g * q.n_settings, -1)
-            means, errors, _ = setting_estimates(counts, coeffs[: len(counts)], tol)
-            v, e = _combine(means.reshape(g, -1), errors.reshape(g, -1), q.lhv_bound)
+        for q, budget, rows in zip(ineqs, budgets, np.split(_probability_rows(noisy, plan, tol), splits, axis=1)):
+            means, errors, _ = setting_estimates(_expected_counts(rows, q, budget), q.outcome_coeffs, tol)
+            v, e = _combine(means, errors, q.lhv_bound)
             table.append((v, e, [_significance_of(vi, ei, tol)[0] for vi, ei in zip(v.tolist(), e.tolist())]))
         return np.array(fid), np.array(table)
 
@@ -540,9 +539,9 @@ def monte_carlo_study(
     empirical spread of V with the average propagated E.  Trial i draws its
     counts from its own ``SeedSequence(entropy=seed, spawn_key=(i,))``
     generator, so any execution order gives the same set; blocks of up to
-    ``_CHUNK_ENTRIES`` counts share one ``setting_estimates`` call, which
-    estimates each row on its own.  ``coverage`` is the fraction of trials
-    whose +-1E interval contains the deterministic V.
+    ``_CHUNK_ENTRIES`` counts go to ``setting_estimates`` as one (B, S, 2**n)
+    stack, which estimates each row on its own.  ``coverage`` is the fraction
+    of trials whose +-1E interval contains the deterministic V.
     """
     if not isinstance(trials, (int, np.integer)):
         raise ValueError(f"trials must be a whole number, got {trials!r}")
@@ -550,16 +549,13 @@ def monte_carlo_study(
         raise ValueError("need at least 100 trials for a meaningful comparison")
     expected = _expected_counts(ineq.probabilities(rho, tol), ineq, budget)
     v_pred = float(_combine(*setting_estimates(expected, ineq.outcome_coeffs, tol)[:2], ineq.lhv_bound)[0])
-    means, errors = np.zeros((2, trials, ineq.n_settings))
+    v, e = np.zeros((2, trials))
     block = max(1, _CHUNK_ENTRIES // expected.size)
-    coeffs = np.tile(ineq.outcome_coeffs, (block, 1))
     for start in range(0, trials, block):
         stop = min(start + block, trials)
         rngs = (np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,))) for i in range(start, stop))
-        counts = np.concatenate([rng.poisson(expected) for rng in rngs])
-        m, e, _ = setting_estimates(counts, coeffs[: len(counts)], tol)
-        means[start:stop], errors[start:stop] = m.reshape(stop - start, -1), e.reshape(stop - start, -1)
-    v, e = _combine(means, errors, ineq.lhv_bound)
+        counts = np.stack([rng.poisson(expected) for rng in rngs])
+        v[start:stop], e[start:stop] = _combine(*setting_estimates(counts, ineq.outcome_coeffs, tol)[:2], ineq.lhv_bound)
     v_std = float(np.std(v, ddof=1))
     e_mean = float(np.mean(e))
     ratio = v_std / e_mean if e_mean > 0 else math.nan

@@ -179,6 +179,22 @@ class TestReportCommand:
         assert code == 0
         assert json.loads(out)["violation"] == pytest.approx(4.0, abs=1e-9)
 
+    def test_non_finite_inequality_coefficient_is_data_error(self, tmp_path, capsys, mermin4, rho_ghz4):
+        # json writes and reads a NaN coefficient as a bare NaN token
+        data = inequality_to_json_dict(mermin4)
+        data["settings"][0]["coefficients"][0] = math.nan
+        ineq_path = tmp_path / "custom.json"
+        ineq_path.write_text(json.dumps(data))
+        budget = ShotBudget.equal_split(8000, mermin4)
+        counts_path = tmp_path / "counts.json"
+        counts_path.write_text(json.dumps(predicted_counts(rho_ghz4, mermin4, budget).to_json_dict()))
+        code, out, err = run_cli(
+            capsys, "report", "--counts", str(counts_path), "--inequality", str(ineq_path), "--format", "csv"
+        )
+        assert code == 3
+        assert out == ""
+        assert "coefficients must be finite" in err
+
     def test_repeated_setting_is_data_error(self, tmp_path, capsys):
         # a second entry for a label must not silently replace the first
         path = tmp_path / "counts.json"

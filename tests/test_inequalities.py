@@ -154,6 +154,14 @@ class TestGenericInequality:
         )
         assert np.allclose(ineq.outcome_coeffs[0], [0.4] * 4, atol=1e-12)
 
+    def test_non_finite_coefficient_rejected(self):
+        # an infinite coefficient already warns in the operator's inf * 0 entries
+        z = pauli("Z")
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            generic_inequality(
+                [ProductObservable(math.nan, (z, z))], [MeasurementSetting((z, z))], [0], lhv_bound=1.0
+            )
+
     def test_non_diagonal_term_rejected(self):
         z, x = pauli("Z"), pauli("X")
         with pytest.raises(ValueError, match="not diagonal"):
@@ -224,6 +232,16 @@ class TestLHVBruteForce:
         settings = [MeasurementSetting((o, o)) for o in (x, y, z)]
         ineq = generic_inequality(terms, settings, [0, 1, 2], lhv_bound=3.0)
         with pytest.raises(ValueError, match="more than two"):
+            lhv_bound_bruteforce(ineq)
+
+    def test_error_names_first_party_with_a_third_observable(self):
+        x, y, z = pauli("X"), pauli("Y"), pauli("Z")
+        pairs = [(x, x), (y, z), (x, y), (y, x), (z, z)]
+        settings = [MeasurementSetting(p) for p in pairs]
+        terms = [ProductObservable(1.0, p) for p in pairs]
+        ineq = generic_inequality(terms, settings, range(len(pairs)), lhv_bound=3.0)
+        with pytest.raises(ValueError, match=r"^party 1 measures more than two distinct observables; "
+                                             "brute-force enumeration not supported$"):
             lhv_bound_bruteforce(ineq)
 
 
@@ -508,6 +526,12 @@ class TestSerialization:
     def test_non_finite_bound_rejected(self, mermin4, bound):
         data = {**inequality_to_json_dict(mermin4), "lhv_bound": bound}
         with pytest.raises(ValueError, match="malformed inequality description: lhv_bound must be finite"):
+            inequality_from_json_dict(data)
+
+    def test_non_finite_coefficient_rejected(self, mermin4):
+        data = inequality_to_json_dict(mermin4)
+        data["settings"][0]["coefficients"][0] = math.nan
+        with pytest.raises(ValueError, match="coefficients must be finite"):
             inequality_from_json_dict(data)
 
     @pytest.mark.parametrize("count", [4.7, 3.999, math.inf, math.nan])

@@ -247,6 +247,26 @@ class TestSettingEstimates:
         with pytest.raises(ValueError, match="no events"):
             setting_estimates([[1.0, 2.0], [0.0, 0.0]], [[1.0, -1.0], [1.0, -1.0]])
 
+    def test_count_stack_matches_each_table_alone(self, rng):
+        # a (G, S, d) stack against one (S, d) coefficient table gives, per
+        # point, the bits of that point's (S, d) table passed alone
+        lam = rng.normal(size=(5, 16))
+        lam[3, 1::2] = lam[3, 1]
+        counts = rng.poisson(20.0, size=(7, 5, 16)).astype(float)
+        counts[2, 1] = 0.0
+        counts[2, 1, 9] = 30.0  # single-outcome support
+        counts[4, 3, ::2] = 0.0  # several outcomes, one coefficient
+        means, errors, totals = setting_estimates(counts, lam)
+        assert means.shape == errors.shape == totals.shape == (7, 5)
+        for g in range(7):
+            alone = setting_estimates(counts[g], lam)
+            assert [bits(x[g]) for x in (means, errors, totals)] == [bits(x) for x in alone]
+        assert errors[2, 1] == 0.0 and errors[4, 3] == 0.0
+        with pytest.raises(ValueError, match="matching shape"):
+            setting_estimates(counts, lam[:4])
+        with pytest.raises(ValueError, match="matching shape"):
+            setting_estimates(counts, np.broadcast_to(lam, counts.shape))
+
     @settings(deadline=None)
     @given(counts=COUNT_ROWS, coeffs=COEFF_ROWS)
     def test_error_is_nonnegative(self, counts, coeffs):
