@@ -166,15 +166,8 @@ def _report_csv(report: SignificanceReport) -> str:
     lines = ["kind,label,mean,error,extra"]
     for s in report.per_setting:
         lines.append(f"setting,{s.label},{_fmt(s.mean)},{_fmt(s.error)},{_fmt(s.n_total)}")
-    lines.append(
-        "total,%s,%s,%s,%s"
-        % (
-            report.metadata.get("inequality", ""),
-            _fmt(report.violation),
-            _fmt(report.error),
-            _fmt(report.significance),
-        )
-    )
+    totals = map(_fmt, (report.violation, report.error, report.significance))
+    lines.append(",".join(["total", report.metadata.get("inequality", ""), *totals]))
     return "\n".join(lines) + "\n"
 
 

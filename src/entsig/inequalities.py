@@ -93,6 +93,8 @@ class ProductObservable:
         self.factors = tuple(self.factors)
         if not all(isinstance(f, SingleQubitObservable) for f in self.factors):
             raise ValueError("factors must be SingleQubitObservable")
+        if not np.isfinite(self.coefficient):
+            raise ValueError(f"term coefficients must be finite, got {self.coefficient!r}")
 
     @property
     def n_qubits(self) -> int:
@@ -330,9 +332,11 @@ def _contraction_plan(settings) -> tuple[list, np.ndarray]:
 
     Level k holds one node per distinct observable prefix
     ``s.observables[:k + 1]`` (shared instances share nodes): the index of
-    its parent node at level k - 1 and the four outcome vectors
-    T[i, j] = conj(u[i, :]) * u[j, :] of its qubit-k eigenbasis u.  ``order``
-    maps each setting to its last-level node.
+    its parent node at level k - 1 and the four (node, outcome) tables
+    T[i, j] = conj(u[i, :]) * u[j, :] of its qubit-k eigenbasis u, shaped
+    (g, 2, 1, 1, 1).  ``index[s, o]`` is the flat (last-level node, outcome)
+    entry that holds setting s's outcome o; the kernel puts qubit k's outcome
+    at bit k, so the index also reverses the outcome bits.
     """
     levels, nodes = [], {(): 0}
     for k in range(settings[0].n_qubits):
@@ -340,9 +344,10 @@ def _contraction_plan(settings) -> tuple[list, np.ndarray]:
         for s in settings:
             nodes.setdefault(s.observables[:k + 1], len(nodes))
         u = np.array([prefix[-1].eigenbasis() for prefix in nodes])
-        t = [(u[:, i].conj() * u[:, j])[:, None, :, None, None] for i in (0, 1) for j in (0, 1)]
+        t = [(u[:, i].conj() * u[:, j])[:, :, None, None, None] for i in (0, 1) for j in (0, 1)]
         levels.append((np.array([parents[prefix[:-1]] for prefix in nodes]), *t))
-    return levels, np.array([nodes[s.observables] for s in settings])
+    reverse = np.arange(2 ** len(levels)).reshape([2] * len(levels)).T.ravel()
+    return levels, np.array([nodes[s.observables] for s in settings])[:, None] * reverse.size + reverse
 
 
 def _probability_rows(rho, plan, tol: Tolerances) -> np.ndarray:
@@ -350,25 +355,31 @@ def _probability_rows(rho, plan, tol: Tolerances) -> np.ndarray:
     and every state of a (..., d, d) stack.
 
     A product setting's outcome distribution factorizes qubit by qubit, so rho
-    is contracted with one 2x2 eigenbasis at a time: per level, each node
-    turns its parent's (prefix, 2h, 2h) blocks into (prefix + outcome, h, h)
-    blocks.  Only separately rounded elementwise products and sums are used,
+    is contracted with one 2x2 eigenbasis at a time.  Per level, one transpose
+    and one ``np.take`` copy the parents' (prefix, 2h, 2h) blocks, split by
+    qubit k's row and column bit, into contiguous (node, prefix, h, h) blocks
+    v[i, j]; then t00*v00 + t01*v01 + t10*v10 + t11*v11 scales whole blocks by
+    one (node, outcome) entry each, the new outcome bit going in front of the
+    prefix.  Only separately rounded elementwise products and sums are used,
     so outcomes that rho cannot produce come out exactly 0.0 (the zero-error
     rule and Poisson sampling depend on it), and each state's rows are the
-    same bits whether it is contracted alone or in a stack.
+    same bits whether it is contracted alone or in a stack.  The rows come
+    back C-contiguous: ``setting_estimates`` rounds by memory layout.
     """
-    levels, order = plan
+    levels, index = plan
     m = _state_matrix(rho)
     lead, d = m.shape[:-2], 2 ** len(levels)
     if m.shape[-2:] != (d, d):
         raise ValueError("state and setting dimensions differ")
     r = m.reshape(-1, 1, 1, d, d)
     for parents, t00, t01, t10, t11 in levels:
-        g, n_prefix, h = len(parents), r.shape[2], r.shape[3] // 2
-        v = r[:, parents].reshape(-1, g, n_prefix, 1, 2, h, 2, h)
-        r = (t00 * v[..., 0, :, 0, :] + t01 * v[..., 0, :, 1, :]
-             + t10 * v[..., 1, :, 0, :] + t11 * v[..., 1, :, 1, :]).reshape(-1, g, 2 * n_prefix, h, h)
-    p = r.real[:, order].reshape(*lead, len(order), d)
+        n_prefix, h = r.shape[2], r.shape[3] // 2
+        v = np.take(r.reshape(len(r), -1, n_prefix, 2, h, 2, h).transpose(3, 5, 0, 1, 2, 4, 6), parents, axis=3)
+        r = t00 * v[0, 0, :, :, None]
+        for t, vij in ((t01, v[0, 1]), (t10, v[1, 0]), (t11, v[1, 1])):
+            r += t * vij[:, :, None]
+        r = r.reshape(len(r), len(parents), 2 * n_prefix, h, h)
+    p = r.real.reshape(len(r), -1).take(index, axis=1).reshape(*lead, *index.shape)
     lowest = float(p.min())
     if lowest < -tol.prob_floor:
         raise ValueError(f"negative outcome probability {lowest:.3e}")
@@ -444,6 +455,8 @@ def inequality_from_json_dict(data: dict) -> BellInequality:
             raise ValueError(f"setting label {label!r} does not match {n} qubits")
         if coeffs.shape != (d,):
             raise ValueError(f"setting {label!r} needs {d} coefficients")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("outcome coefficients must be finite")
         settings.append(MeasurementSetting(tuple(standard_observable(ch) for ch in label)))
         rows.append(coeffs)
     op = np.zeros((d, d), dtype=complex)

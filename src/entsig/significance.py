@@ -208,7 +208,8 @@ def sample_counts(rho, ineq: BellInequality, budget: ShotBudget, seed, tol: Tole
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Last-axis dot products, broadcast, each rounded exactly as ``a[s] @ b[s]``."""
+    """Last-axis dot products, broadcast, each rounded exactly as ``a[s] @ b[s]``
+    for C-contiguous inputs (matmul picks its summation by memory layout)."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
@@ -222,8 +223,8 @@ def setting_estimates(counts, coeffs, tol: Tolerances = DEFAULT) -> tuple[np.nda
     support), that row's mean equals the first such coefficient and its error
     is exactly zero; the general formula only blurs this with round-off.
     """
-    n = np.asarray(counts, dtype=float)
-    lam = np.asarray(coeffs, dtype=float)
+    n = np.ascontiguousarray(counts, dtype=float)
+    lam = np.ascontiguousarray(coeffs, dtype=float)
     if lam.ndim != 2 or n.shape[-2:] != lam.shape:
         raise ValueError("counts and coefficients must have matching shape")
     if np.any(n < 0):
@@ -384,10 +385,12 @@ class SweepTable:
 
 
 def _sweep_evaluator(ineqs, noise: str, grid, initial_state, total_copies: float, tol: Tolerances):
-    """Check a sweep's arguments and build what its chunks share (budgets, one
-    plan).  Returns ``(ineqs, grid, step, chunk)``: ``chunk(ps)`` runs at most
-    ``step`` noise strengths as one validated (G, d, d) state stack and one
-    kernel call, giving (G,) fidelities and an (n_ineqs, 3, G) V, E, S table."""
+    """Check a sweep's arguments and build what its chunks share: one plan, and
+    the (S, 1) copies and (S, 2**n) coefficients of all S settings with each
+    inequality's offsets.  Returns ``(ineqs, grid, step, chunk)``: ``chunk(ps)``
+    runs at most ``step`` noise strengths as one validated (G, d, d) state
+    stack, one kernel call and one estimate pass, then one ``_combine`` per
+    inequality, giving (G,) fidelities and an (n_ineqs, 3, G) V, E, S table."""
     ineqs = list(ineqs)
     if not ineqs:
         raise ValueError("need at least one inequality")
@@ -404,18 +407,19 @@ def _sweep_evaluator(ineqs, noise: str, grid, initial_state, total_copies: float
     state0 = _as_initial_state(initial_state, n)
     reference = ghz_state(n)
     step = max(1, _CHUNK_ENTRIES // state0.matrix.size)
-    budgets = [ShotBudget.equal_split(total_copies, q) for q in ineqs]
     plan = _contraction_plan([s for q in ineqs for s in q.settings])
-    splits = np.cumsum([q.n_settings for q in ineqs])[:-1]
+    copies = np.array([[c] for q in ineqs for c in ShotBudget.equal_split(total_copies, q).allocation.values()])
+    coeffs = np.concatenate([q.outcome_coeffs for q in ineqs])
+    offsets = np.cumsum([0] + [q.n_settings for q in ineqs])
 
     def chunk(ps):
         noisy = _noisy_stack(state0.matrix, noise, ps)
         _validate_stack(noisy, state0.tol)
         fid = [fidelity_with_pure(m, reference, tol) for m in noisy]
+        means, errors, _ = setting_estimates(copies * _probability_rows(noisy, plan, tol), coeffs, tol)
         table = []
-        for q, budget, rows in zip(ineqs, budgets, np.split(_probability_rows(noisy, plan, tol), splits, axis=1)):
-            means, errors, _ = setting_estimates(_expected_counts(rows, q, budget), q.outcome_coeffs, tol)
-            v, e = _combine(means, errors, q.lhv_bound)
+        for q, a, b in zip(ineqs, offsets, offsets[1:]):
+            v, e = _combine(means[:, a:b], errors[:, a:b], q.lhv_bound)
             table.append((v, e, [_significance_of(vi, ei, tol)[0] for vi, ei in zip(v.tolist(), e.tolist())]))
         return np.array(fid), np.array(table)
 
@@ -432,7 +436,7 @@ def significance_sweep(
 ) -> SweepTable:
     """Evaluate predicted-count significance for each inequality along a noise
     grid, tracking the GHZ fidelity of the noisy state, one evaluator chunk of
-    grid points (one state stack and one kernel call) at a time."""
+    grid points (one state stack, one kernel call, one estimate pass) at a time."""
     ineqs, grid, step, chunk = _sweep_evaluator(ineqs, noise, grid, initial_state, total_copies, tol)
     chunks = [chunk(grid[i:i + step].tolist()) for i in range(0, grid.size, step)]
     fid, table = (np.concatenate(x, axis=-1) for x in zip(*chunks))

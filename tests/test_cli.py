@@ -195,6 +195,20 @@ class TestReportCommand:
         assert out == ""
         assert "coefficients must be finite" in err
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_infinite_inequality_coefficient_is_one_error_line(self, tmp_path, capsys, mermin4, rho_ghz4, bad):
+        # json writes and reads an infinite coefficient as a bare Infinity
+        # token; it must be rejected before numpy warns about inf * 0
+        data = inequality_to_json_dict(mermin4)
+        data["settings"][2]["coefficients"][7] = bad
+        ineq_path = tmp_path / "custom.json"
+        ineq_path.write_text(json.dumps(data))
+        budget = ShotBudget.equal_split(8000, mermin4)
+        counts_path = tmp_path / "counts.json"
+        counts_path.write_text(json.dumps(predicted_counts(rho_ghz4, mermin4, budget).to_json_dict()))
+        result = run_cli(capsys, "report", "--counts", str(counts_path), "--inequality", str(ineq_path))
+        assert result == (3, "", "error: outcome coefficients must be finite\n")
+
     def test_repeated_setting_is_data_error(self, tmp_path, capsys):
         # a second entry for a label must not silently replace the first
         path = tmp_path / "counts.json"

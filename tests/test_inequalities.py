@@ -155,11 +155,23 @@ class TestGenericInequality:
         assert np.allclose(ineq.outcome_coeffs[0], [0.4] * 4, atol=1e-12)
 
     def test_non_finite_coefficient_rejected(self):
-        # an infinite coefficient already warns in the operator's inf * 0 entries
         z = pauli("Z")
         with pytest.raises(ValueError, match="coefficients must be finite"):
             generic_inequality(
                 [ProductObservable(math.nan, (z, z))], [MeasurementSetting((z, z))], [0], lhv_bound=1.0
+            )
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_term_coefficient_rejected_before_any_arithmetic(self, bad):
+        # inf * 0 in the operator's Kronecker product would warn first; the
+        # suite turns that warning into an error, so this checks the order
+        z = pauli("Z")
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            ProductObservable(bad, (z, z))
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            generic_inequality(
+                [ProductObservable(1.0, (z, z)), ProductObservable(bad, (z, pauli("I")))],
+                [MeasurementSetting((z, z))], [0, 0], lhv_bound=1.0,
             )
 
     def test_non_diagonal_term_rejected(self):
@@ -376,6 +388,22 @@ class TestStackedProbabilities:
         grid = _probability_rows(stack.reshape(2, 2, 2**n, 2**n), plan, DEFAULT)
         assert grid.tobytes() == rows.tobytes() and grid.shape == (2, 2) + rows.shape[1:]
 
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_rows_are_c_contiguous(self, n, rng):
+        # setting_estimates rounds by memory layout, so the kernel's layout
+        # is part of its output; a transposed-layout state gives the same bits
+        ineqs = (mermin(n), ardehali(n))
+        plan = _contraction_plan([s for q in ineqs for s in q.settings])
+        ghz = DensityMatrix.from_pure(ghz_state(n))
+        states = [apply_noise(ghz, "bitflip", 0.1), apply_noise(ghz, "white", 0.2), random_density(rng, n)]
+        stack = np.array([rho.matrix for rho in states + [ghz]])
+        for rho in (states[0].matrix, stack, stack.reshape(2, 2, 2**n, 2**n)):
+            rows = _probability_rows(rho, plan, DEFAULT)
+            assert rows.flags.c_contiguous and rows.shape == rho.shape[:-2] + (len(plan[1]), 2**n)
+            transposed = np.ascontiguousarray(np.moveaxis(rho, -1, 0)).transpose(*range(1, rho.ndim), 0)
+            assert np.array_equal(transposed, rho) and not transposed.flags.c_contiguous
+            assert _probability_rows(transposed, plan, DEFAULT).tobytes() == rows.tobytes()
+
     def test_wrong_dimension_rejected(self, mermin4):
         with pytest.raises(ValueError, match="state and setting dimensions differ"):
             mermin4.probabilities(DensityMatrix.maximally_mixed(6))
@@ -532,6 +560,14 @@ class TestSerialization:
         data = inequality_to_json_dict(mermin4)
         data["settings"][0]["coefficients"][0] = math.nan
         with pytest.raises(ValueError, match="coefficients must be finite"):
+            inequality_from_json_dict(data)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_infinite_coefficient_rejected_before_the_operator(self, mermin4, bad):
+        # the operator's eigenbasis products would warn on inf * 0 first
+        data = inequality_to_json_dict(mermin4)
+        data["settings"][3]["coefficients"][5] = bad
+        with pytest.raises(ValueError, match="outcome coefficients must be finite"):
             inequality_from_json_dict(data)
 
     @pytest.mark.parametrize("count", [4.7, 3.999, math.inf, math.nan])

@@ -267,6 +267,29 @@ class TestSettingEstimates:
         with pytest.raises(ValueError, match="matching shape"):
             setting_estimates(counts, np.broadcast_to(lam, counts.shape))
 
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_bits_do_not_depend_on_memory_layout(self, n):
+        # predicted counts of 16 bit-flip states, passed again as equal-valued
+        # copies stored outcome-axis first; each row must still be estimated
+        # exactly as the C-ordered row alone
+        ineq = ardehali(n)
+        budget = ShotBudget.equal_split(8000, ineq)
+        ghz = DensityMatrix.from_pure(ghz_state(n))
+        counts = np.array([
+            significance._expected_counts(ineq.probabilities(apply_noise(ghz, "bitflip", p)), ineq, budget)
+            for p in np.linspace(0.01, 0.2, 16)
+        ])
+        moved = np.ascontiguousarray(np.moveaxis(counts, -1, 0)).transpose(1, 2, 0)
+        lam = np.asfortranarray(ineq.outcome_coeffs)
+        assert np.array_equal(moved, counts) and not moved.flags.c_contiguous and not lam.flags.c_contiguous
+        expected = setting_estimates(counts, ineq.outcome_coeffs)
+        for got in (setting_estimates(moved, ineq.outcome_coeffs), setting_estimates(counts, lam)):
+            assert [bits(x) for x in got] == [bits(x) for x in expected]
+        sampled = np.random.default_rng(3).poisson(counts).astype(float)
+        moved = np.ascontiguousarray(np.moveaxis(sampled, -1, 0)).transpose(1, 2, 0)
+        expected = setting_estimates(sampled, ineq.outcome_coeffs)
+        assert [bits(x) for x in setting_estimates(moved, lam)] == [bits(x) for x in expected]
+
     @settings(deadline=None)
     @given(counts=COUNT_ROWS, coeffs=COEFF_ROWS)
     def test_error_is_nonnegative(self, counts, coeffs):
@@ -457,6 +480,23 @@ class TestSweep:
                 column = [table.values[q.tag][key][i] for key in ("V", "E", "S")]
                 assert bits(column) == bits([rep.violation, rep.error, rep.significance])
         assert math.isinf(table.values["M"]["S"][0])
+
+    @pytest.mark.parametrize("noise, grid", [
+        ("bitflip", np.linspace(0.0, 0.08, 37)),
+        ("white", np.linspace(0.0, 1.0, 21)),
+    ])
+    def test_ansatz_columns_match_evaluate_bitwise(self, noise, grid):
+        # the imperfect source has no stabilizer zeros to lean on: every row
+        # of a chunk's one fused estimate must still match evaluate
+        ineqs = (mermin(4), ardehali(4))
+        state0 = experimental_ansatz(AnsatzParams())
+        table = significance_sweep(ineqs, noise, grid, initial_state=state0)
+        for i, p in enumerate(grid):
+            noisy = apply_noise(state0, noise, float(p))
+            for q in ineqs:
+                rep = evaluate(predicted_counts(noisy, q, ShotBudget.equal_split(8000.0, q)), q)
+                column = [table.values[q.tag][key][i] for key in ("V", "E", "S")]
+                assert bits(column) == bits([rep.violation, rep.error, rep.significance])
 
     @pytest.mark.parametrize("n, noise, grid, state", [
         (4, "bitflip", np.linspace(0.0, 0.25, 37), None),
