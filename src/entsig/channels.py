@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DensityMatrix, _PAULI, _freeze, require_hermitian
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 
 
 @dataclass(eq=False)
@@ -67,7 +67,7 @@ def apply_local(rho: DensityMatrix, channel: SingleQubitChannel, qubit: int) -> 
     n = rho.n_qubits
     if not 0 <= qubit < n:
         raise ValueError(f"qubit index {qubit} out of range for {n} qubits")
-    return DensityMatrix(n, _apply_kraus(rho.matrix, channel.kraus_ops, qubit), tol=rho.tol)
+    return DensityMatrix(n, _apply_kraus(rho.matrix, channel.kraus_ops, qubit))
 
 
 def apply_to_all(rho: DensityMatrix, channel: SingleQubitChannel) -> DensityMatrix:
@@ -76,7 +76,7 @@ def apply_to_all(rho: DensityMatrix, channel: SingleQubitChannel) -> DensityMatr
     m = rho.matrix
     for q in range(rho.n_qubits):
         m = _apply_kraus(m, channel.kraus_ops, q)
-    return DensityMatrix(rho.n_qubits, m, tol=rho.tol)
+    return DensityMatrix(rho.n_qubits, m)
 
 
 def _bit_flip_all(m: np.ndarray, p) -> np.ndarray:
@@ -101,7 +101,7 @@ def _white_mix(m: np.ndarray, q) -> np.ndarray:
 def white_noise(rho: DensityMatrix, q: float) -> DensityMatrix:
     """Admix the maximally mixed state: rho -> (1-q) rho + q 1/2**n."""
     _require_unit(q, "white-noise weight")
-    return DensityMatrix(rho.n_qubits, _white_mix(rho.matrix, q), tol=rho.tol)
+    return DensityMatrix(rho.n_qubits, _white_mix(rho.matrix, q))
 
 
 @dataclass(frozen=True)
@@ -126,9 +126,11 @@ class AnsatzParams:
         return self.alpha + self.beta + self.lam
 
 
-def experimental_ansatz(params: AnsatzParams, tol: Tolerances = DEFAULT) -> DensityMatrix:
+def experimental_ansatz(params: AnsatzParams) -> DensityMatrix:
     """Build the 4-qubit noisy-source model state, renormalized to unit trace."""
     a, b, g, lam = params.alpha, params.beta, params.gamma, params.lam
+    if not all(map(math.isfinite, (a, b, g, lam))):
+        raise ValueError(f"ansatz parameters must be finite, got alpha={a!r}, beta={b!r}, gamma={g!r}, lambda={lam!r}")
     m = (lam / 16.0) * np.eye(16, dtype=complex)
     m[0, 0] += a
     m[15, 15] += b
@@ -138,10 +140,10 @@ def experimental_ansatz(params: AnsatzParams, tol: Tolerances = DEFAULT) -> Dens
     if tr <= 0:
         raise ValueError("ansatz parameters give non-positive trace")
     m /= tr
-    require_hermitian(m, tol.hermitian, "ansatz state")
+    require_hermitian(m, DEFAULT.hermitian, "ansatz state")
     min_eig = float(np.linalg.eigvalsh(m)[0])
-    if min_eig < -tol.psd:
+    if min_eig < -DEFAULT.psd:
         raise ValueError(
             f"ansatz parameters give a non-positive state (minimal eigenvalue {min_eig:.6e})"
         )
-    return DensityMatrix(4, m, tol=tol)
+    return DensityMatrix(4, m)

@@ -10,12 +10,12 @@ ordering of operator strings such as "XXYY".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 
 MAX_QUBITS = 6
 
@@ -144,7 +144,6 @@ class DensityMatrix:
 
     n_qubits: int
     matrix: np.ndarray
-    tol: Tolerances = field(default=DEFAULT, repr=False)
 
     def __post_init__(self):
         if not 1 <= self.n_qubits <= MAX_QUBITS:
@@ -153,7 +152,7 @@ class DensityMatrix:
         d = 2**self.n_qubits
         if m.shape != (d, d):
             raise ValueError(f"density matrix must be {d}x{d} for {self.n_qubits} qubits")
-        _validate_stack(m[None], self.tol)
+        _validate_stack(m[None])
         self.matrix = _freeze(m)
 
     @property
@@ -170,18 +169,18 @@ class DensityMatrix:
         return cls(n_qubits, np.eye(d, dtype=complex) / d)
 
 
-def _validate_stack(m: np.ndarray, tol: Tolerances) -> None:
+def _validate_stack(m: np.ndarray) -> None:
     """The ``DensityMatrix`` checks on a writable (G, d, d) stack, with one
     batched ``eigvalsh``: the first failing member raises, and each member that
     needs the PSD clamp is replaced in place by its projection."""
-    require_hermitian(m, tol.hermitian, "density matrix")
+    require_hermitian(m, DEFAULT.hermitian, "density matrix")
     tr = np.trace(m, axis1=-2, axis2=-1).real
-    if (bad := np.flatnonzero(np.abs(tr - 1.0) > tol.trace_one)).size:
+    if (bad := np.flatnonzero(np.abs(tr - 1.0) > DEFAULT.trace_one)).size:
         raise ValueError(f"density matrix trace is {float(tr[bad[0]])!r}, expected 1")
     lo = np.linalg.eigvalsh(m)[:, 0]
-    if (bad := np.flatnonzero(lo < -tol.psd)).size:
+    if (bad := np.flatnonzero(lo < -DEFAULT.psd)).size:
         raise ValueError(f"density matrix has negative eigenvalue {lo[bad[0]]:.3e}")
-    for g in np.flatnonzero(lo < -tol.psd_clamp):
+    for g in np.flatnonzero(lo < -DEFAULT.psd_clamp):
         # meaningful round-off negativity: project back onto PSD cone
         vals, vecs = np.linalg.eigh(m[g])
         vals = np.clip(vals, 0.0, None)
@@ -206,11 +205,11 @@ def _state_matrix(state) -> np.ndarray:
     return np.asarray(state, dtype=complex)
 
 
-def expectation(state, obs, tol: Tolerances = DEFAULT) -> float:
+def expectation(state, obs) -> float:
     """tr(rho O) for a Hermitian observable; tiny imaginary residue is dropped."""
     m = _as_matrix(obs)
     scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
-    require_hermitian(m, tol.op_hermitian * scale, "observable")
+    require_hermitian(m, DEFAULT.op_hermitian * scale, "observable")
     if isinstance(state, PureState):
         if m.shape[0] != state.dim:
             raise ValueError("state and observable dimensions differ")
@@ -220,12 +219,12 @@ def expectation(state, obs, tol: Tolerances = DEFAULT) -> float:
         if m.shape != rho.shape:
             raise ValueError("state and observable dimensions differ")
         val = complex(np.trace(rho @ m))
-    if abs(val.imag) > tol.imag_discard:
+    if abs(val.imag) > DEFAULT.imag_discard:
         raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
     return val.real
 
 
-def variance(state, obs, tol: Tolerances = DEFAULT) -> float:
+def variance(state, obs) -> float:
     """<O^2> - <O>^2, clamped to zero at -variance_floor.
 
     Evaluated in centered form -- ||(O - <O>) psi||^2 for pure states,
@@ -234,30 +233,30 @@ def variance(state, obs, tol: Tolerances = DEFAULT) -> float:
     moments would cancel catastrophically.
     """
     m = _as_matrix(obs)
-    mean = expectation(state, m, tol)
+    mean = expectation(state, m)
     if isinstance(state, PureState):
         resid = m @ state.amplitudes - mean * state.amplitudes
         return float(np.sum(np.abs(resid) ** 2))
     centered = m - mean * np.eye(m.shape[0])
-    var = expectation(state, centered @ centered, tol)
-    if var < -tol.variance_floor:
+    var = expectation(state, centered @ centered)
+    if var < -DEFAULT.variance_floor:
         raise ValueError(f"variance came out negative: {var:.3e}")
     return max(var, 0.0)
 
 
-def fidelity_with_pure(rho, psi: PureState, tol: Tolerances = DEFAULT) -> float:
-    """<psi| rho |psi>, clamped into [0, 1] at the configured tolerance."""
+def fidelity_with_pure(rho, psi: PureState) -> float:
+    """<psi| rho |psi>, clamped into [0, 1]; more than ``imag_discard`` outside it is an error."""
     m = _state_matrix(rho)
     if m.shape[0] != psi.dim:
         raise ValueError("state and reference dimensions differ")
     val = complex(np.vdot(psi.amplitudes, m @ psi.amplitudes))
     f = val.real
-    if f < -tol.imag_discard or f > 1.0 + tol.imag_discard:
+    if f < -DEFAULT.imag_discard or f > 1.0 + DEFAULT.imag_discard:
         raise ValueError(f"fidelity {f!r} outside [0, 1]")
     return min(max(f, 0.0), 1.0)
 
 
-def hermitian_eig(m: np.ndarray, tol: Tolerances = DEFAULT):
+def hermitian_eig(m: np.ndarray):
     """Eigendecomposition of a Hermitian matrix (LAPACK ``eigh``).
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
@@ -268,6 +267,6 @@ def hermitian_eig(m: np.ndarray, tol: Tolerances = DEFAULT):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("hermitian_eig expects a square matrix")
     mag = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    require_hermitian(a, tol.op_hermitian * mag)
+    require_hermitian(a, DEFAULT.op_hermitian * mag)
     w, v = np.linalg.eigh(a)
     return w, v

@@ -19,7 +19,7 @@ import numpy as np
 from .core import DensityMatrix, PureState, expectation, hermitian_eig, variance
 from .inequalities import Witness
 from .significance import SignificanceReport, variance_model_significance
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 
 
 @dataclass(eq=False)
@@ -35,52 +35,52 @@ class ImprovementResult:
     significance_after: SignificanceReport
 
 
-def _pure_stats(psi: PureState, w: Witness, tol: Tolerances) -> tuple[float, float]:
-    mean = expectation(psi, w.matrix, tol)
-    dev = math.sqrt(variance(psi, w.matrix, tol))
+def _pure_stats(psi: PureState, w: Witness) -> tuple[float, float]:
+    mean = expectation(psi, w.matrix)
+    dev = math.sqrt(variance(psi, w.matrix))
     return mean, dev
 
 
-def q_operator(rho: DensityMatrix, w: Witness, tol: Tolerances = DEFAULT) -> np.ndarray:
+def q_operator(rho: DensityMatrix, w: Witness) -> np.ndarray:
     """Q = rho W + W rho - 2 <W^2>/<W> rho, whose minimal eigenvector is the
     most profitable direction to add to the witness."""
-    mean = expectation(rho, w.matrix, tol)
-    if abs(mean) <= tol.zero_expectation:
+    mean = expectation(rho, w.matrix)
+    if abs(mean) <= DEFAULT.zero_expectation:
         raise ValueError("<W> vanishes on this state; Q operator is undefined")
-    second = expectation(rho, w.matrix @ w.matrix, tol)
+    second = expectation(rho, w.matrix @ w.matrix)
     r = rho.matrix
     return r @ w.matrix + w.matrix @ r - (2.0 * second / mean) * r
 
 
-def optimal_orthogonal_direction(psi: PureState, w: Witness, tol: Tolerances = DEFAULT) -> PureState:
+def optimal_orthogonal_direction(psi: PureState, w: Witness) -> PureState:
     """The unit vector orthogonal to psi that maximizes |<psi|W|psi_perp>|.
 
     Built as (1 - |psi><psi|) W |psi| / Delta, which also fixes the phase:
     <psi|W|psi_perp> = Delta > 0.  Satisfies
     W|psi> = <W>|psi> + Delta |psi_perp>.
     """
-    mean, dev = _pure_stats(psi, w, tol)
-    if dev <= tol.min_deviation:
+    mean, dev = _pure_stats(psi, w)
+    if dev <= DEFAULT.min_deviation:
         raise ValueError("psi is an eigenstate of the witness; no orthogonal direction")
     amp = w.matrix @ psi.amplitudes - mean * psi.amplitudes
     return PureState(psi.n_qubits, amp / dev)
 
 
-def perturbative_step(psi: PureState, w: Witness, gamma: float, tol: Tolerances = DEFAULT) -> ImprovementResult:
+def perturbative_step(psi: PureState, w: Witness, gamma: float) -> ImprovementResult:
     """One small-gamma improvement: W' = W + gamma |phi><phi| with phi the
     minimal-eigenvalue eigenvector of Q.  Increases S for small enough gamma."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    mean, dev = _pure_stats(psi, w, tol)
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
+    mean, dev = _pure_stats(psi, w)
     if mean >= 0:
         raise ValueError(f"state is not detected by the witness (<W> = {mean:.6g} >= 0)")
-    if dev <= tol.min_deviation:
+    if dev <= DEFAULT.min_deviation:
         raise ValueError("psi is already an eigenstate of the witness; nothing to improve")
-    q = q_operator(DensityMatrix.from_pure(psi), w, tol)
-    _, vecs = hermitian_eig(q, tol)
+    q = q_operator(DensityMatrix.from_pure(psi), w)
+    _, vecs = hermitian_eig(q)
     phi = vecs[:, 0]  # minimal eigenvalue first
     added = gamma * np.outer(phi, phi.conj())
-    return _finish(psi, w, added, tol)
+    return _finish(psi, w, added)
 
 
 def exact_improvement(
@@ -88,7 +88,6 @@ def exact_improvement(
     w: Witness,
     a: float | None = None,
     b: float | None = None,
-    tol: Tolerances = DEFAULT,
 ) -> ImprovementResult:
     """Closed-form finite improvement that makes psi an exact eigenstate.
 
@@ -98,19 +97,19 @@ def exact_improvement(
     stays detected).  The resulting variance-model error vanishes, so the
     significance is reported as the flagged infinity.
     """
-    mean, dev = _pure_stats(psi, w, tol)
+    mean, dev = _pure_stats(psi, w)
     if mean >= 0:
         raise ValueError(f"state is not detected by the witness (<W> = {mean:.6g} >= 0)")
-    if dev <= tol.min_deviation:
+    if dev <= DEFAULT.min_deviation:
         raise ValueError("psi is already an eigenstate of the witness; nothing to improve")
     if a is None:
         a = -mean / 2.0
+    if not 0 < a < math.inf:
+        raise ValueError(f"parameter a must be positive and finite, got {a!r}")
     if b is None:
         b = dev * dev / a
-    if a <= 0:
-        raise ValueError(f"parameter a must be positive, got {a!r}")
-    if b <= 0:
-        raise ValueError(f"parameter b must be positive, got {b!r}")
+    if not 0 < b < math.inf:
+        raise ValueError(f"parameter b must be positive and finite, got {b!r}")
     if a * b < dev * dev * (1.0 - 1e-12):
         raise ValueError(
             f"positivity needs a*b >= Delta^2: a*b = {a * b:.6g} < {dev * dev:.6g}"
@@ -119,20 +118,20 @@ def exact_improvement(
         raise ValueError(
             f"state would no longer be detected: need a < -<W> = {-mean:.6g}, got a = {a!r}"
         )
-    perp = optimal_orthogonal_direction(psi, w, tol)
+    perp = optimal_orthogonal_direction(psi, w)
     p_psi = psi.projector()
     p_perp = perp.projector()
     cross = np.outer(psi.amplitudes, perp.amplitudes.conj())
     added = a * p_psi + b * p_perp - dev * (cross + cross.conj().T)
-    return _finish(psi, w, added, tol)
+    return _finish(psi, w, added)
 
 
-def _finish(psi: PureState, w: Witness, added: np.ndarray, tol: Tolerances) -> ImprovementResult:
+def _finish(psi: PureState, w: Witness, added: np.ndarray) -> ImprovementResult:
     added = (added + added.conj().T) / 2.0
     w_prime = Witness(f"{w.name}+improvement", w.matrix + added)
-    before = variance_model_significance(psi, w, tol=tol)
-    after = variance_model_significance(psi, w_prime, tol=tol)
-    mean_after, dev_after = _pure_stats(psi, w_prime, tol)
+    before = variance_model_significance(psi, w)
+    after = variance_model_significance(psi, w_prime)
+    mean_after, dev_after = _pure_stats(psi, w_prime)
     resid = float(np.linalg.norm(w_prime.matrix @ psi.amplitudes - mean_after * psi.amplitudes))
     return ImprovementResult(
         improved_witness=w_prime,
@@ -145,9 +144,9 @@ def _finish(psi: PureState, w: Witness, added: np.ndarray, tol: Tolerances) -> I
     )
 
 
-def separable_safety_check(w_prime: Witness, w: Witness, tol: Tolerances = DEFAULT) -> bool:
+def separable_safety_check(w_prime: Witness, w: Witness) -> bool:
     """True iff W' - W is positive semidefinite, which guarantees W' inherits
     the witness property from W."""
     diff = w_prime.matrix - w.matrix
-    evals, _ = hermitian_eig(diff, tol)
-    return bool(evals[0] >= -tol.psd)
+    evals, _ = hermitian_eig(diff)
+    return bool(evals[0] >= -DEFAULT.psd)

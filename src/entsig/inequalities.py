@@ -26,7 +26,7 @@ from .core import (
     pauli,
     require_hermitian,
 )
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 
 SQRT2 = math.sqrt(2.0)
 _BOUND_CACHE: dict[str, float] = {}  # inequality name -> brute-forced LHV bound
@@ -136,13 +136,13 @@ class BellInequality:
     operator: np.ndarray
 
     def __post_init__(self):
+        if not self.settings:
+            raise ValueError("at least one setting required")
         coeffs = np.array(self.outcome_coeffs, dtype=float)
         if coeffs.shape != (len(self.settings), 2**self.n_qubits):
             raise ValueError("outcome coefficient table has wrong shape")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("outcome coefficients must be finite")
-        if not self.settings:
-            raise ValueError("at least one setting required")
         labels = [s.label for s in self.settings]
         if len(set(labels)) != len(labels):
             raise ValueError("setting labels must be unique")
@@ -156,10 +156,10 @@ class BellInequality:
     def n_settings(self) -> int:
         return len(self.settings)
 
-    def probabilities(self, rho, tol: Tolerances = DEFAULT) -> np.ndarray:
+    def probabilities(self, rho) -> np.ndarray:
         """(n_settings, 2**n) outcome probabilities of every setting, row order
         as in ``settings``."""
-        return _probability_rows(rho, _contraction_plan(self.settings), tol)
+        return _probability_rows(rho, _contraction_plan(self.settings))
 
     def setting_index(self, label: str) -> int:
         for i, s in enumerate(self.settings):
@@ -241,7 +241,6 @@ def generic_inequality(
     lhv_bound: float,
     name: str = "custom",
     tag: str | None = None,
-    tol: Tolerances = DEFAULT,
 ) -> BellInequality:
     """Bell inequality from product terms grouped onto shared settings.
 
@@ -273,7 +272,7 @@ def generic_inequality(
         for k, factor in enumerate(term.factors):
             u = setting.observables[k].eigenbasis()
             diag = u.conj().T @ factor.matrix @ u
-            if np.max(np.abs(diag - np.diag(np.diag(diag)))) > tol.diagonal_term:
+            if np.max(np.abs(diag - np.diag(np.diag(diag)))) > DEFAULT.diagonal_term:
                 raise ValueError(
                     f"term factor {factor.label!r} on qubit {k} is not diagonal "
                     f"in the {setting.label!r} setting"
@@ -317,14 +316,14 @@ def lhv_bound_bruteforce(ineq: BellInequality) -> float:
     return float(total.max())
 
 
-def violation(rho, ineq: BellInequality, tol: Tolerances = DEFAULT) -> float:
+def violation(rho, ineq: BellInequality) -> float:
     """<B> - C_lhv; positive values certify entanglement."""
-    return expectation(rho, ineq.operator, tol) - ineq.lhv_bound
+    return expectation(rho, ineq.operator) - ineq.lhv_bound
 
 
-def witness_violation(rho, w: Witness, tol: Tolerances = DEFAULT) -> float:
+def witness_violation(rho, w: Witness) -> float:
     """-<W>; positive values certify entanglement."""
-    return -expectation(rho, w.matrix, tol)
+    return -expectation(rho, w.matrix)
 
 
 def _contraction_plan(settings) -> tuple[list, np.ndarray]:
@@ -350,7 +349,7 @@ def _contraction_plan(settings) -> tuple[list, np.ndarray]:
     return levels, np.array([nodes[s.observables] for s in settings])[:, None] * reverse.size + reverse
 
 
-def _probability_rows(rho, plan, tol: Tolerances) -> np.ndarray:
+def _probability_rows(rho, plan) -> np.ndarray:
     """p[..., s, o] = <u_so| rho |u_so> for every setting of a contraction plan
     and every state of a (..., d, d) stack.
 
@@ -381,19 +380,19 @@ def _probability_rows(rho, plan, tol: Tolerances) -> np.ndarray:
         r = r.reshape(len(r), len(parents), 2 * n_prefix, h, h)
     p = r.real.reshape(len(r), -1).take(index, axis=1).reshape(*lead, *index.shape)
     lowest = float(p.min())
-    if lowest < -tol.prob_floor:
+    if lowest < -DEFAULT.prob_floor:
         raise ValueError(f"negative outcome probability {lowest:.3e}")
     np.clip(p, 0.0, None, out=p)
     sums = p.sum(axis=-1)
-    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= tol.prob_sum))  # NaN rows fail too
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= DEFAULT.prob_sum))  # NaN rows fail too
     if bad.size:
         raise ValueError(f"outcome probabilities sum to {float(sums.flat[bad[0]])!r}")
     return p
 
 
-def outcome_probabilities(rho, setting: MeasurementSetting, tol: Tolerances = DEFAULT) -> np.ndarray:
+def outcome_probabilities(rho, setting: MeasurementSetting) -> np.ndarray:
     """Probabilities of the 2**n product-eigenbasis outcomes of a setting."""
-    return _probability_rows(rho, _contraction_plan((setting,)), tol)[0]
+    return _probability_rows(rho, _contraction_plan((setting,)))[0]
 
 
 def projector_witness(n: int) -> Witness:
@@ -403,7 +402,7 @@ def projector_witness(n: int) -> Witness:
     return Witness(f"ghz{n}-projector", 0.5 * np.eye(d) - g.projector())
 
 
-def ghz_fidelity_formula(rho, tol: Tolerances = DEFAULT) -> float:
+def ghz_fidelity_formula(rho) -> float:
     """Fidelity with the 4-qubit GHZ state from populations plus <B_M>/16.
 
     1/2 (P_0000 + P_1111) + B_M/16 equals the GHZ projector exactly, so this
@@ -413,7 +412,7 @@ def ghz_fidelity_formula(rho, tol: Tolerances = DEFAULT) -> float:
     if m.shape != (16, 16):
         raise ValueError("fidelity formula applies to 4-qubit states")
     populations = 0.5 * float(m[0, 0].real + m[15, 15].real)
-    return populations + expectation(rho, mermin(4).operator, tol) / 16.0
+    return populations + expectation(rho, mermin(4).operator) / 16.0
 
 
 def inequality_to_json_dict(ineq: BellInequality) -> dict:

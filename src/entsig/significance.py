@@ -21,7 +21,7 @@ import numpy as np
 from .channels import _bit_flip_all, _require_unit, _white_mix
 from .core import DensityMatrix, PureState, _validate_stack, expectation, fidelity_with_pure, ghz_state, variance
 from .inequalities import BellInequality, Witness, _contraction_plan, _probability_rows, ardehali, mermin
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 
 # noise family -> (its strength in range errors, its (G, d, d) stack map)
 _NOISE = {"bitflip": ("flip probability", _bit_flip_all), "white": ("white-noise weight", _white_mix)}
@@ -175,9 +175,9 @@ class SignificanceReport:
         }
 
 
-def _significance_of(v: float, e: float, tol: Tolerances) -> tuple[float, bool]:
+def _significance_of(v: float, e: float) -> tuple[float, bool]:
     """Map (V, E) to (S, degenerate) with the zero-error convention."""
-    if e > tol.zero_error:
+    if e > DEFAULT.zero_error:
         return v / e, False
     if v > 0:
         return math.inf, False
@@ -190,20 +190,20 @@ def _expected_counts(probabilities: np.ndarray, ineq: BellInequality, budget: Sh
     return copies[:, None] * probabilities
 
 
-def predicted_counts(rho, ineq: BellInequality, budget: ShotBudget, tol: Tolerances = DEFAULT) -> CountTable:
+def predicted_counts(rho, ineq: BellInequality, budget: ShotBudget) -> CountTable:
     """Deterministic expectation of the counting experiment: N_s * p_{s,o}."""
-    means = _expected_counts(ineq.probabilities(rho, tol), ineq, budget)
+    means = _expected_counts(ineq.probabilities(rho), ineq, budget)
     return CountTable(ineq.name, {s.label: row for s, row in zip(ineq.settings, means)}, mode="predicted")
 
 
-def sample_counts(rho, ineq: BellInequality, budget: ShotBudget, seed, tol: Tolerances = DEFAULT) -> CountTable:
+def sample_counts(rho, ineq: BellInequality, budget: ShotBudget, seed) -> CountTable:
     """Poisson-sampled counts, one independent draw per outcome.
 
     ``seed`` may be an int or a ``numpy.random.SeedSequence``; a fixed seed
     reproduces the table bit for bit.  One ``poisson`` call draws the whole
     table, settings in order.
     """
-    counts = np.random.default_rng(seed).poisson(_expected_counts(ineq.probabilities(rho, tol), ineq, budget))
+    counts = np.random.default_rng(seed).poisson(_expected_counts(ineq.probabilities(rho), ineq, budget))
     return CountTable(ineq.name, {s.label: row for s, row in zip(ineq.settings, counts)}, mode="sampled")
 
 
@@ -213,7 +213,7 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def setting_estimates(counts, coeffs, tol: Tolerances = DEFAULT) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def setting_estimates(counts, coeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Means, Gaussian-propagated errors and total counts of a stack of settings.
 
     ``counts`` is a (..., n_settings, n_outcomes) stack of count tables and
@@ -234,17 +234,17 @@ def setting_estimates(counts, coeffs, tol: Tolerances = DEFAULT) -> tuple[np.nda
         raise ValueError("no events recorded in this setting")
     supported = n > 0
     spread = np.where(supported, lam, -np.inf).max(axis=-1) - np.where(supported, lam, np.inf).min(axis=-1)
-    flat = spread <= tol.coeff_spread
+    flat = spread <= DEFAULT.coeff_spread
     mean = _row_dot(lam, n) / n_tot
     err_sq = _row_dot((lam - mean[..., None]) ** 2, n) / (n_tot * n_tot)
     first = lam[np.arange(len(lam)), supported.argmax(axis=-1)]
     return np.where(flat, first, mean), np.where(flat, 0.0, np.sqrt(err_sq)), n_tot
 
 
-def setting_estimate(counts, coeffs, tol: Tolerances = DEFAULT) -> tuple[float, float]:
+def setting_estimate(counts, coeffs) -> tuple[float, float]:
     """Mean and Gaussian-propagated error of one setting (see
     ``setting_estimates``)."""
-    mean, err, _ = setting_estimates(np.asarray(counts, dtype=float)[None], np.asarray(coeffs, dtype=float)[None], tol)
+    mean, err, _ = setting_estimates(np.asarray(counts, dtype=float)[None], np.asarray(coeffs, dtype=float)[None])
     return float(mean[0]), float(err[0])
 
 
@@ -256,7 +256,7 @@ def _combine(means: np.ndarray, errors: np.ndarray, lhv_bound: float):
     return v, np.sqrt(np.cumsum(errors * errors, axis=-1)[..., -1])
 
 
-def evaluate(counts: CountTable, ineq: BellInequality, tol: Tolerances = DEFAULT) -> SignificanceReport:
+def evaluate(counts: CountTable, ineq: BellInequality) -> SignificanceReport:
     """Combine all settings of an inequality into (V, E, S).
 
     V = sum of setting means - C_lhv; setting errors add in quadrature since
@@ -276,16 +276,16 @@ def evaluate(counts: CountTable, ineq: BellInequality, tol: Tolerances = DEFAULT
         if vec.size != d:
             raise ValueError(f"setting {label!r} has {vec.size} outcomes, expected {d}")
         rows.append(vec)
-    means, errors, totals = setting_estimates(np.array(rows, dtype=float), ineq.outcome_coeffs, tol)
+    means, errors, totals = setting_estimates(np.array(rows, dtype=float), ineq.outcome_coeffs)
     estimates = tuple(map(SettingEstimate, labels, means.tolist(), errors.tolist(), totals.tolist()))
     v, e = map(float, _combine(means, errors, ineq.lhv_bound))
-    s, degenerate = _significance_of(v, e, tol)
+    s, degenerate = _significance_of(v, e)
     meta = {"inequality": ineq.name, "lhv_bound": ineq.lhv_bound,
             "mode": counts.mode, "total_counts": counts.total()}
     return SignificanceReport(v, e, s, degenerate, estimates, meta)
 
 
-def variance_model_significance(state, test, copies: float | None = None, tol: Tolerances = DEFAULT) -> SignificanceReport:
+def variance_model_significance(state, test, copies: float | None = None) -> SignificanceReport:
     """Significance in the simple model E = sqrt(<T^2> - <T>^2).
 
     ``test`` is a Witness (V = -<W>) or a BellInequality (V = <B> - C_lhv).
@@ -298,13 +298,13 @@ def variance_model_significance(state, test, copies: float | None = None, tol: T
         op, v_sign, offset, name = test.operator, 1.0, test.lhv_bound, test.name
     else:
         raise ValueError("test must be a Witness or a BellInequality")
-    v = v_sign * expectation(state, op, tol) - offset
-    e = math.sqrt(variance(state, op, tol))
+    v = v_sign * expectation(state, op) - offset
+    e = math.sqrt(variance(state, op))
     if copies is not None:
         if copies <= 0:
             raise ValueError("copies must be positive")
         e /= math.sqrt(copies)
-    s, degenerate = _significance_of(v, e, tol)
+    s, degenerate = _significance_of(v, e)
     return SignificanceReport(v, e, s, degenerate, (), {"error_model": "variance", "test": name})
 
 
@@ -332,7 +332,7 @@ def _noisy_stack(m: np.ndarray, family: str, ps) -> np.ndarray:
 
 def apply_noise(state: DensityMatrix, family: str, p: float) -> DensityMatrix:
     """Bit-flip on every qubit, or global white noise, at strength p."""
-    return DensityMatrix(state.n_qubits, _noisy_stack(state.matrix, family, [p])[0], tol=state.tol)
+    return DensityMatrix(state.n_qubits, _noisy_stack(state.matrix, family, [p])[0])
 
 
 @dataclass(eq=False)
@@ -384,7 +384,7 @@ class SweepTable:
         }
 
 
-def _sweep_evaluator(ineqs, noise: str, grid, initial_state, total_copies: float, tol: Tolerances):
+def _sweep_evaluator(ineqs, noise: str, grid, initial_state, total_copies: float):
     """Check a sweep's arguments and build what its chunks share: one plan, and
     the (S, 1) copies and (S, 2**n) coefficients of all S settings with each
     inequality's offsets.  Returns ``(ineqs, grid, step, chunk)``: ``chunk(ps)``
@@ -414,13 +414,13 @@ def _sweep_evaluator(ineqs, noise: str, grid, initial_state, total_copies: float
 
     def chunk(ps):
         noisy = _noisy_stack(state0.matrix, noise, ps)
-        _validate_stack(noisy, state0.tol)
-        fid = [fidelity_with_pure(m, reference, tol) for m in noisy]
-        means, errors, _ = setting_estimates(copies * _probability_rows(noisy, plan, tol), coeffs, tol)
+        _validate_stack(noisy)
+        fid = [fidelity_with_pure(m, reference) for m in noisy]
+        means, errors, _ = setting_estimates(copies * _probability_rows(noisy, plan), coeffs)
         table = []
         for q, a, b in zip(ineqs, offsets, offsets[1:]):
             v, e = _combine(means[:, a:b], errors[:, a:b], q.lhv_bound)
-            table.append((v, e, [_significance_of(vi, ei, tol)[0] for vi, ei in zip(v.tolist(), e.tolist())]))
+            table.append((v, e, [_significance_of(vi, ei)[0] for vi, ei in zip(v.tolist(), e.tolist())]))
         return np.array(fid), np.array(table)
 
     return ineqs, grid, step, chunk
@@ -432,12 +432,11 @@ def significance_sweep(
     grid,
     initial_state=None,
     total_copies: float = 8000.0,
-    tol: Tolerances = DEFAULT,
 ) -> SweepTable:
     """Evaluate predicted-count significance for each inequality along a noise
     grid, tracking the GHZ fidelity of the noisy state, one evaluator chunk of
     grid points (one state stack, one kernel call, one estimate pass) at a time."""
-    ineqs, grid, step, chunk = _sweep_evaluator(ineqs, noise, grid, initial_state, total_copies, tol)
+    ineqs, grid, step, chunk = _sweep_evaluator(ineqs, noise, grid, initial_state, total_copies)
     chunks = [chunk(grid[i:i + step].tolist()) for i in range(0, grid.size, step)]
     fid, table = (np.concatenate(x, axis=-1) for x in zip(*chunks))
     return SweepTable(
@@ -464,7 +463,6 @@ def crossing_point(
     ineqs=None,
     span: tuple[float, float] | None = None,
     coarse: int = 33,
-    tol: Tolerances = DEFAULT,
 ) -> CrossingResult:
     """Locate where the two inequalities swap significance order.
 
@@ -486,7 +484,7 @@ def crossing_point(
     lo, hi = span
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"invalid search span {span!r}")
-    _, grid, step, chunk = _sweep_evaluator((first, second), noise, np.linspace(lo, hi, coarse), state0, total_copies, tol)
+    _, grid, step, chunk = _sweep_evaluator((first, second), noise, np.linspace(lo, hi, coarse), state0, total_copies)
 
     def signs_at(ps) -> np.ndarray:
         s0, s1 = chunk(ps)[1][:, 2]
@@ -504,14 +502,14 @@ def crossing_point(
         raise NoCrossingError(f"significance difference does not change sign on [{lo:g}, {hi:g}] for {noise} noise")
     i, j = nonzero[flips[0]], nonzero[flips[0] + 1]
     a, b, sign_a = float(grid[i]), float(grid[j]), signs[i]
-    while b - a > tol.bisection:
+    while b - a > DEFAULT.bisection:
         mid = 0.5 * (a + b)
         if signs_at([mid])[0] in (sign_a, 0):
             a = mid
         else:
             b = mid
     p_star = 0.5 * (a + b)
-    f_star = fidelity_with_pure(apply_noise(state0, noise, p_star), ghz_state(n), tol)
+    f_star = fidelity_with_pure(apply_noise(state0, noise, p_star), ghz_state(n))
     return CrossingResult(p_star, f_star, noise, n)
 
 
@@ -535,7 +533,6 @@ def monte_carlo_study(
     budget: ShotBudget,
     trials: int,
     seed: int = 0,
-    tol: Tolerances = DEFAULT,
 ) -> MonteCarloSummary:
     """Validate the propagated error against direct Poisson simulation.
 
@@ -551,15 +548,15 @@ def monte_carlo_study(
         raise ValueError(f"trials must be a whole number, got {trials!r}")
     if trials < 100:
         raise ValueError("need at least 100 trials for a meaningful comparison")
-    expected = _expected_counts(ineq.probabilities(rho, tol), ineq, budget)
-    v_pred = float(_combine(*setting_estimates(expected, ineq.outcome_coeffs, tol)[:2], ineq.lhv_bound)[0])
+    expected = _expected_counts(ineq.probabilities(rho), ineq, budget)
+    v_pred = float(_combine(*setting_estimates(expected, ineq.outcome_coeffs)[:2], ineq.lhv_bound)[0])
     v, e = np.zeros((2, trials))
     block = max(1, _CHUNK_ENTRIES // expected.size)
     for start in range(0, trials, block):
         stop = min(start + block, trials)
         rngs = (np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,))) for i in range(start, stop))
         counts = np.stack([rng.poisson(expected) for rng in rngs])
-        v[start:stop], e[start:stop] = _combine(*setting_estimates(counts, ineq.outcome_coeffs, tol)[:2], ineq.lhv_bound)
+        v[start:stop], e[start:stop] = _combine(*setting_estimates(counts, ineq.outcome_coeffs)[:2], ineq.lhv_bound)
     v_std = float(np.std(v, ddof=1))
     e_mean = float(np.mean(e))
     ratio = v_std / e_mean if e_mean > 0 else math.nan

@@ -1,7 +1,7 @@
 """Numerical tolerances used across the package.
 
-All validation and convergence thresholds live in one record so that tests
-and library code agree on a single source of truth.
+Every validation and convergence threshold is a field of the one record
+``DEFAULT``, which library code reads directly; there is no per-call override.
 """
 
 from __future__ import annotations

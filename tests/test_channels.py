@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -210,6 +211,14 @@ class TestExperimentalAnsatz:
         # 2x2 corner block [[1/2, 0.6], [0.6, 1/2]] has a negative eigenvalue
         with pytest.raises(ValueError, match="minimal eigenvalue"):
             experimental_ansatz(AnsatzParams(0.5, 0.5, 0.6, 0.0))
+
+    @pytest.mark.parametrize("field, value", [("alpha", math.nan), ("beta", math.inf), ("gamma", -math.inf),
+                                              ("lam", math.inf), ("lam", math.nan)])
+    def test_non_finite_parameter_rejected_before_any_arithmetic(self, field, value):
+        # inf * 0 in the identity term or a NaN trace would warn first
+        params = dataclasses.replace(AnsatzParams(), **{field: value})
+        with pytest.raises(ValueError, match=f"ansatz parameters must be finite, got alpha=.*{value!r}"):
+            experimental_ansatz(params)
 
     def test_reference_state_matches_measured_fidelity(self, ghz4):
         # the model reproduces the reference no-noise fidelity 0.84 +- 0.01

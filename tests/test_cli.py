@@ -62,6 +62,13 @@ class TestSweepCommand:
         assert code == 2
         assert "qubits" in err
 
+    @pytest.mark.parametrize("option, value", [("--lambda", "inf"), ("--alpha", "nan"), ("--gamma", "inf")])
+    def test_non_finite_ansatz_parameter_is_one_error_line(self, capsys, option, value):
+        params = {"--alpha": "0.362", "--beta": "0.522", "--gamma": "0.398", "--lambda": "0.12", option: value}
+        expected = "error: ansatz parameters must be finite, got alpha={}, beta={}, gamma={}, lambda={}\n"
+        result = run_cli(capsys, "sweep", "--state", "ansatz", option, value)
+        assert result == (2, "", expected.format(*params.values()))
+
     def test_unwritable_path_is_data_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--grid", "0:0.1:3", "--out", "/nonexistent-dir/x.csv")
         assert code == 3
@@ -227,6 +234,7 @@ class TestReportCommand:
         ({"name": "x", "n_qubits": 4, "lhv_bound": 4.0, "settings": 5}, "malformed inequality description"),
         ({"name": "x", "n_qubits": 7, "lhv_bound": 1.0,
           "settings": [{"label": "X" * 7, "coefficients": [1.0] * 2**7}]}, "n_qubits must be in [1, 6]"),
+        ({"name": "x", "n_qubits": 4, "lhv_bound": 4.0, "settings": []}, "at least one setting required"),
     ])
     def test_bad_custom_inequality_is_data_error(self, tmp_path, capsys, rho_ghz4, mermin4, description, message):
         ineq_path = tmp_path / "custom.json"
@@ -332,6 +340,12 @@ class TestImproveCommand:
         code, _, err = run_cli(capsys, "improve", "--c0", "1.0", "--c1", "0.0")
         assert code == 2
         assert "not detected" in err
+
+    @pytest.mark.parametrize("option, value", [("--a", "nan"), ("--a", "inf"), ("--a", "0"),
+                                               ("--b", "nan"), ("--b", "inf")])
+    def test_bad_parameter_is_named(self, capsys, option, value):
+        message = f"error: parameter {option[2:]} must be positive and finite, got {float(value)!r}\n"
+        assert run_cli(capsys, "improve", option, value) == (2, "", message)
 
     def test_a_too_large_named_in_error(self, capsys):
         code, _, err = run_cli(capsys, "improve", "--a", "0.9")

@@ -139,7 +139,7 @@ class TestValidateStack:
         eps = 5e-11
         needs = np.diag([0.5, 0.5 + eps, -eps, 0.0]).astype(complex)
         stack = np.array([self.FINE, needs, self.FINE])
-        _validate_stack(stack, DEFAULT)
+        _validate_stack(stack)
         assert np.array_equal(stack[0], self.FINE) and np.array_equal(stack[2], self.FINE)
         assert np.array_equal(stack[1], DensityMatrix(2, needs).matrix)
         assert np.linalg.eigvalsh(stack[1])[0] >= 0.0
@@ -154,7 +154,7 @@ class TestValidateStack:
         with pytest.raises(ValueError) as single:
             DensityMatrix(2, bad)
         with pytest.raises(ValueError) as stacked:
-            _validate_stack(np.array([self.FINE, bad, self.FINE]), DEFAULT)
+            _validate_stack(np.array([self.FINE, bad, self.FINE]))
         assert str(stacked.value) == str(single.value)
 
 

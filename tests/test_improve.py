@@ -143,6 +143,11 @@ class TestPerturbativeStep:
         with pytest.raises(ValueError, match="not detected"):
             perturbative_step(PureState(4, amp), witness4, gamma=1e-3)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, 0.0])
+    def test_gamma_must_be_positive_and_finite(self, demo_state, witness4, gamma):
+        with pytest.raises(ValueError, match=f"^gamma must be positive and finite, got {gamma!r}$"):
+            perturbative_step(demo_state, witness4, gamma)
+
     def test_first_order_expansion(self, demo_state, witness4):
         gamma = 1e-4
         s0 = variance_model_significance(demo_state, witness4).significance
@@ -184,6 +189,13 @@ class TestExactImprovement:
         mean = expectation(demo_state, witness4.matrix)
         with pytest.raises(ValueError, match="no longer be detected"):
             exact_improvement(demo_state, witness4, a=-mean + 0.01)
+
+    @pytest.mark.parametrize("name, value", [("a", math.nan), ("a", math.inf), ("a", 0.0),
+                                             ("b", math.nan), ("b", math.inf), ("b", 0.0)])
+    def test_parameters_must_be_positive_and_finite(self, demo_state, witness4, name, value):
+        # a = 0 must not reach the default b = Delta^2 / a
+        with pytest.raises(ValueError, match=f"^parameter {name} must be positive and finite, got {value!r}$"):
+            exact_improvement(demo_state, witness4, **{name: value})
 
     def test_positivity_constraint_rejected(self, demo_state, witness4):
         dev = math.sqrt(variance(demo_state, witness4.matrix))

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entsig import (
-    DEFAULT,
     BellInequality,
     DensityMatrix,
     MeasurementSetting,
@@ -369,7 +368,7 @@ class TestStackedProbabilities:
         assert np.array_equal(rows == 0.0, ref == 0.0)
         # a row does not depend on which other settings share the plan
         perm = data.draw(st.permutations(range(len(stack))))
-        shuffled = _probability_rows(rho, _contraction_plan([stack[i] for i in perm]), DEFAULT)
+        shuffled = _probability_rows(rho, _contraction_plan([stack[i] for i in perm]))
         assert np.array_equal(shuffled, rows[perm])
         for setting, row in zip(stack, rows):
             assert np.array_equal(outcome_probabilities(rho, setting), row)
@@ -381,11 +380,11 @@ class TestStackedProbabilities:
         ghz = DensityMatrix.from_pure(ghz_state(n))
         states = [ghz, apply_noise(ghz, "bitflip", 0.15), apply_noise(ghz, "white", 0.3), random_density(rng, n)]
         stack = np.array([rho.matrix for rho in states])
-        rows = _probability_rows(stack, plan, DEFAULT)
+        rows = _probability_rows(stack, plan)
         assert rows.shape == (4, len(plan[1]), 2**n)
         for rho, got in zip(states, rows):
-            assert got.tobytes() == _probability_rows(rho, plan, DEFAULT).tobytes()
-        grid = _probability_rows(stack.reshape(2, 2, 2**n, 2**n), plan, DEFAULT)
+            assert got.tobytes() == _probability_rows(rho, plan).tobytes()
+        grid = _probability_rows(stack.reshape(2, 2, 2**n, 2**n), plan)
         assert grid.tobytes() == rows.tobytes() and grid.shape == (2, 2) + rows.shape[1:]
 
     @pytest.mark.parametrize("n", [4, 6])
@@ -398,11 +397,11 @@ class TestStackedProbabilities:
         states = [apply_noise(ghz, "bitflip", 0.1), apply_noise(ghz, "white", 0.2), random_density(rng, n)]
         stack = np.array([rho.matrix for rho in states + [ghz]])
         for rho in (states[0].matrix, stack, stack.reshape(2, 2, 2**n, 2**n)):
-            rows = _probability_rows(rho, plan, DEFAULT)
+            rows = _probability_rows(rho, plan)
             assert rows.flags.c_contiguous and rows.shape == rho.shape[:-2] + (len(plan[1]), 2**n)
             transposed = np.ascontiguousarray(np.moveaxis(rho, -1, 0)).transpose(*range(1, rho.ndim), 0)
             assert np.array_equal(transposed, rho) and not transposed.flags.c_contiguous
-            assert _probability_rows(transposed, plan, DEFAULT).tobytes() == rows.tobytes()
+            assert _probability_rows(transposed, plan).tobytes() == rows.tobytes()
 
     def test_wrong_dimension_rejected(self, mermin4):
         with pytest.raises(ValueError, match="state and setting dimensions differ"):
@@ -542,6 +541,12 @@ class TestSerialization:
     def test_malformed_settings_rejected(self, settings):
         data = {"name": "x", "n_qubits": 2, "lhv_bound": 1.0, "settings": settings}
         with pytest.raises(ValueError, match="malformed inequality description"):
+            inequality_from_json_dict(data)
+
+    def test_no_settings_rejected(self):
+        # the empty check comes before the coefficient-table shape check
+        data = {"name": "x", "n_qubits": 4, "lhv_bound": 1.0, "settings": []}
+        with pytest.raises(ValueError, match="at least one setting required"):
             inequality_from_json_dict(data)
 
     def test_too_many_qubits_rejected(self):

@@ -1,4 +1,14 @@
+import dataclasses
+import inspect
+import runpy
+import shutil
+from pathlib import Path
+
+import pytest
+
 import entsig
+
+DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
 
 # the public names, in order; adding, removing or reordering one is a contract change
 PUBLIC_NAMES = [
@@ -67,3 +77,21 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     assert list(entsig.__all__) == PUBLIC_NAMES
 
+
+def test_thresholds_have_no_per_call_override():
+    # every check reads tolerances.DEFAULT; no public callable or method takes a `tol`
+    for name in entsig.__all__:
+        value = getattr(entsig, name)
+        if isinstance(value, type):
+            calls = [m for _, m in inspect.getmembers(value) if inspect.isfunction(m) or inspect.ismethod(m)]
+        else:
+            calls = [value] if callable(value) else []
+        for f in calls:
+            assert "tol" not in inspect.signature(f).parameters, f"{name}.{f.__name__}"
+    assert "tol" not in {f.name for f in dataclasses.fields(entsig.DensityMatrix)}
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path):
+    # the demos call the public API outside the tests; a copy keeps the files they write in tmp_path
+    runpy.run_path(shutil.copy(demo, tmp_path), run_name="__main__")
