@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -47,6 +48,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NO_CROSSING = 4
+_NEGATIVE_FLOAT = re.compile(r"-(inf(inity)?|nan|(\d+\.?\d*|\.\d+)(e[-+]?\d+)?)", re.IGNORECASE)
 
 
 class ConfigError(ValueError):
@@ -234,6 +236,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_improve(args) -> int:
+    if not math.isfinite(args.c0 * args.c0 + args.c1 * args.c1):  # NaN, Inf or a norm that overflows
+        raise ConfigError(f"--c0 and --c1 must be finite with a finite norm, got {args.c0!r} and {args.c1!r}")
     amp = np.zeros(2**args.qubits, dtype=complex)
     amp[0], amp[-1] = args.c0, args.c1
     norm = float(np.linalg.norm(amp))
@@ -357,6 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads a separate '-1e-3' or '-inf' as an option; after a float option it is joined as '--opt=-1e-3'
+    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = commands[argv[0]]._actions if argv and argv[0] in commands else ()
+    floats = {s for a in actions if a.type is float for s in a.option_strings}
+    for i in range(len(argv) - 1, 0, -1):  # from the right, so a join moves no token still to be read
+        if argv[i - 1] in floats and _NEGATIVE_FLOAT.fullmatch(argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
     try:
         if getattr(args, "seed", None) is not None and args.seed < 0:

@@ -110,7 +110,7 @@ def exact_improvement(
         b = dev * dev / a
     if not 0 < b < math.inf:
         raise ValueError(f"parameter b must be positive and finite, got {b!r}")
-    if a * b < dev * dev * (1.0 - 1e-12):
+    if a * b < dev * dev * (1.0 - DEFAULT.positivity):
         raise ValueError(
             f"positivity needs a*b >= Delta^2: a*b = {a * b:.6g} < {dev * dev:.6g}"
         )

@@ -64,7 +64,7 @@ class MeasurementSetting:
         for o in obs:
             if not isinstance(o, SingleQubitObservable):
                 raise ValueError("setting entries must be SingleQubitObservable")
-            if abs(float(np.trace(o.matrix).real)) > 1e-10:
+            if abs(o.matrix[0, 0].real + o.matrix[1, 1].real) > DEFAULT.traceless:
                 raise ValueError(
                     f"observable {o.label!r} is degenerate (trace != 0); settings need +1/-1 outcomes"
                 )
@@ -181,23 +181,23 @@ def _xy_labels(mask: int, m: int) -> str:
 def _parity_inequality(name: str, tag: str, n: int, terms, lhv_bound: float) -> BellInequality:
     """One setting per (labels, coefficient) term, each with outcome
     coefficients coefficient * parity; the bound is brute-forced for n != 4.
-    The c * ``kron_all`` operator terms reuse the prefixes of the previous one."""
-    settings, coeff_rows, op = [], [], np.zeros((2**n, 2**n), dtype=complex)
-    par = reduce(np.kron, [np.array([1.0, -1.0])] * n)
-    prefix, built = [np.array([[1.0 + 0j]])], ""
-    for labels, c in terms:
-        obs = tuple(standard_observable(l) for l in labels)
-        settings.append(MeasurementSetting(obs))
-        coeff_rows.append(c * par)
-        del prefix[1 + next((k for k, (x, y) in enumerate(zip(labels, built)) if x != y), len(built)):]
-        for o in obs[len(prefix) - 1:]:  # np.kron's product, one factor at a time
-            prefix.append((prefix[-1][:, None, :, None] * o.matrix[None, :, None, :]).reshape(2 * len(prefix[-1]), -1))
-        op += c * prefix[-1]
-        built = labels
+    Off-diagonal factors put each term on the anti-diagonal: its entries fold
+    prefix times factor, as ``np.kron`` multiplies, and add in term order from 0."""
+    labels, coeffs = zip(*terms)
+    letters = sorted(set("".join(labels)))
+    mats = np.array([standard_observable(l).matrix for l in letters])
+    if np.any(mats[:, [0, 1], [0, 1]] != 0):
+        raise ValueError(f"parity terms need off-diagonal factors, got labels {letters}")
+    table = mats[:, [0, 1], [1, 0]][[[letters.index(l) for l in lab] for lab in labels]]  # [term, qubit, b]: entry [b, 1 - b]
+    rows = np.ones((len(labels), 1), dtype=complex)
+    for k in range(n):
+        rows = (rows[:, :, None] * table[:, k, None, :]).reshape(len(labels), -1)
+    op, i = np.zeros((2**n, 2**n), dtype=complex), np.arange(2**n)
+    op[i, i[::-1]] = reduce(np.add, np.array(coeffs)[:, None] * rows, np.zeros(2**n, dtype=complex))
     ineq = BellInequality(
-        name=name, tag=tag, n_qubits=n,
-        settings=tuple(settings), outcome_coeffs=np.array(coeff_rows),
-        lhv_bound=lhv_bound, operator=op,
+        name=name, tag=tag, n_qubits=n, lhv_bound=lhv_bound, operator=op,
+        settings=tuple(MeasurementSetting(tuple(map(standard_observable, lab))) for lab in labels),
+        outcome_coeffs=np.outer(coeffs, reduce(np.kron, [np.array([1.0, -1.0])] * n)),
     )
     if n != 4:
         if name not in _BOUND_CACHE:

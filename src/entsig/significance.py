@@ -50,7 +50,7 @@ class ShotBudget:
         if not all(math.isfinite(v) and v > 0 for v in alloc.values()):
             raise ValueError("every setting needs a positive, finite number of copies")
         total = sum(alloc.values())
-        if abs(total - self.total_copies) > 1e-6 * max(1.0, self.total_copies):
+        if abs(total - self.total_copies) > DEFAULT.budget_sum * max(1.0, self.total_copies):
             raise ValueError(
                 f"allocation sums to {total!r}, budget says {self.total_copies!r}"
             )

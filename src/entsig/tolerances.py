@@ -30,6 +30,9 @@ class Tolerances:
     zero_expectation: float = 1e-12 # |<W>| below this is degenerate for Q
     min_deviation: float = 1e-10    # smallest usable Delta_psi(W)
     bisection: float = 1e-6         # noise-parameter resolution of crossing search
+    traceless: float = 1e-10        # |tr O| of a setting's +1/-1 observable
+    budget_sum: float = 1e-6        # |sum of allocation - total copies| per max(1, total)
+    positivity: float = 1e-12       # relative slack in a*b >= Delta^2 of an improvement
 
 
 DEFAULT = Tolerances()

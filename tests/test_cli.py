@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from pathlib import Path
@@ -11,7 +12,7 @@ from entsig import (
     inequality_to_json_dict,
     predicted_counts,
 )
-from entsig.cli import main
+from entsig.cli import build_parser, main
 
 # stdout, stderr and exit code of cheap commands, recorded with the same argv;
 # the 9-digit output bytes are the contract every refactor keeps
@@ -347,6 +348,12 @@ class TestImproveCommand:
         message = f"error: parameter {option[2:]} must be positive and finite, got {float(value)!r}\n"
         assert run_cli(capsys, "improve", option, value) == (2, "", message)
 
+    @pytest.mark.parametrize("c0, c1", [("nan", "0.6"), ("inf", "0.6"), ("0.8", "-inf"), ("1e200", "1e200")])
+    def test_amplitudes_need_a_finite_norm(self, capsys, c0, c1):
+        # rejected before the norm divides them: no RuntimeWarning, no "not normalized"
+        message = f"error: --c0 and --c1 must be finite with a finite norm, got {float(c0)!r} and {float(c1)!r}\n"
+        assert run_cli(capsys, "improve", f"--c0={c0}", f"--c1={c1}") == (2, "", message)
+
     def test_a_too_large_named_in_error(self, capsys):
         code, _, err = run_cli(capsys, "improve", "--a", "0.9")
         assert code == 2
@@ -376,6 +383,42 @@ class TestMonteCarloCommand:
         code, _, err = run_cli(capsys, "montecarlo", "--trials", "10")
         assert code == 2
         assert "trials" in err
+
+
+# every float option of every command, read from the parser; cheap arguments
+# that let each command reach its own check of the option
+_COMMANDS = next(a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+FLOAT_OPTIONS = [(c, o) for c, p in _COMMANDS.items() for a in p._actions if a.type is float for o in a.option_strings]
+CHEAP_ARGS = {"sweep": ["--state", "ansatz", "--grid", "0:0.1:2"], "crossing": ["--state", "ansatz"],
+              "predict": ["--state", "ansatz"], "improve": [],
+              "montecarlo": ["--state", "ansatz", "--trials", "100"]}
+
+
+class TestNegativeFloatValues:
+    # argparse reads a separate '-inf' or '-1e-3' as an option name; as the
+    # value of a float option it must read as '--opt=-inf' does
+    def test_every_float_option_is_covered(self):
+        assert {o for _, o in FLOAT_OPTIONS} == {"--shots", "--alpha", "--beta", "--gamma", "--lambda",
+                                                 "--p", "--c0", "--c1", "--a", "--b"}
+        assert {c for c, _ in FLOAT_OPTIONS} == set(CHEAP_ARGS)
+
+    @pytest.mark.parametrize("command, option", FLOAT_OPTIONS)
+    def test_separate_value_reads_as_joined(self, capsys, command, option):
+        joined = run_cli(capsys, command, *CHEAP_ARGS[command], f"{option}=-inf")
+        assert joined[0] == 2 and joined[2].startswith("error: ")
+        assert run_cli(capsys, command, *CHEAP_ARGS[command], option, "-inf") == joined
+
+    @pytest.mark.parametrize("value", ["-1e-9", "-1E-9", "-.1e-8"])
+    def test_exponent_form_runs(self, capsys, value):
+        joined = run_cli(capsys, "sweep", *CHEAP_ARGS["sweep"], f"--lambda={value}")
+        assert joined[0] == 0
+        assert run_cli(capsys, "sweep", *CHEAP_ARGS["sweep"], "--lambda", value) == joined
+
+    def test_int_option_is_not_joined(self):
+        # only float options take a separate negative float; --seed stays as argparse reads it
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--seed", "-1e3"])
+        assert exc.value.code == 2
 
 
 class TestParser:

@@ -32,7 +32,7 @@ from entsig import (
     violation,
     witness_violation,
 )
-from entsig.inequalities import _contraction_plan, _probability_rows
+from entsig.inequalities import _contraction_plan, _parity_inequality, _probability_rows
 from conftest import random_density
 
 SQRT2 = math.sqrt(2.0)
@@ -477,6 +477,43 @@ class TestParityOperatorOracle:
             op += c * kron_all([o.matrix for o in setting.observables])
         assert ineq.operator.tobytes() == op.tobytes()
         assert ineq.lhv_bound == self.BOUNDS[ineq.name]
+
+
+class TestParityFold:
+    @staticmethod
+    def check_against_per_term_kron(labels, coeffs):
+        # the per-term kron_all sum of TestParityOperatorOracle, from a zero operator
+        ineq = _parity_inequality("fold", "F", 4, list(zip(labels, coeffs)), 4.0)
+        parity = functools.reduce(np.kron, [np.array([1.0, -1.0])] * 4)
+        op = np.zeros((16, 16), dtype=complex)
+        for label, c in zip(labels, coeffs):
+            op += c * kron_all([standard_observable(l).matrix for l in label])
+        assert ineq.operator.tobytes() == op.tobytes()
+        assert ineq.outcome_coeffs.tobytes() == np.array([c * parity for c in coeffs]).tobytes()
+        assert [s.label for s in ineq.settings] == list(labels)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_terms_match_per_term_kron_bytes(self, data):
+        # unsorted off-diagonal labels whose terms share stems of 1-3 qubits
+        stems = data.draw(st.lists(st.text("XYAB", min_size=1, max_size=3), min_size=1, max_size=3))
+        tails = st.text("XYAB", min_size=4, max_size=4)
+        labels = data.draw(st.lists(st.builds(lambda s, t: (s + t)[:4], st.sampled_from(stems), tails),
+                                    min_size=1, max_size=16, unique=True))
+        coeffs = data.draw(st.lists(st.sampled_from([1.0, -1.0, 1 / SQRT2, -1 / SQRT2]),
+                                    min_size=len(labels), max_size=len(labels)))
+        self.check_against_per_term_kron(labels, coeffs)
+
+    @pytest.mark.parametrize("label", ["YXXX", "XXXY", "AAAA"])
+    def test_one_negative_term_adds_onto_positive_zeros(self, label):
+        # -1 * (0+1j) has real part -0.0; the sum starts from +0.0, so it stays +0.0
+        self.check_against_per_term_kron([label], [-1.0])
+
+    @pytest.mark.parametrize("labels", [["XXXX", "ZXXX"], ["XYXZ"], ["AIBX", "XXXX"]])
+    def test_diagonal_factor_refused(self, labels):
+        # the fold reads only off-diagonal entries: a Z or I term is refused, not dropped
+        with pytest.raises(ValueError, match="off-diagonal factors"):
+            _parity_inequality("diag", "D", 4, [(label, 1.0) for label in labels], 4.0)
 
 
 class TestOperatorCoefficientConsistency:

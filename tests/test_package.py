@@ -1,7 +1,9 @@
 import dataclasses
 import inspect
+import io
 import runpy
 import shutil
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 import entsig
 
 DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
+SOURCES = sorted(Path(entsig.__file__).parent.glob("*.py"))
 
 # the public names, in order; adding, removing or reordering one is a contract change
 PUBLIC_NAMES = [
@@ -89,6 +92,19 @@ def test_thresholds_have_no_per_call_override():
         for f in calls:
             assert "tol" not in inspect.signature(f).parameters, f"{name}.{f.__name__}"
     assert "tol" not in {f.name for f in dataclasses.fields(entsig.DensityMatrix)}
+
+
+def test_thresholds_are_named_in_tolerances():
+    # a threshold is a field of tolerances.DEFAULT: no float literal in
+    # scientific notation anywhere else in the package
+    assert len(SOURCES) > 1
+    literals = [
+        f"{path.name}:{tok.start[0]}: {tok.string}"
+        for path in SOURCES if path.name != "tolerances.py"
+        for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        if tok.type == tokenize.NUMBER and "e" in tok.string.lower() and not tok.string.lower().startswith("0x")
+    ]
+    assert literals == []
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
