@@ -35,10 +35,10 @@ from .significance import (
     NoCrossingError,
     ShotBudget,
     SignificanceReport,
+    _monte_carlo_studies,
     apply_noise,
     crossing_point,
     evaluate,
-    monte_carlo_study,
     predicted_counts,
     sample_counts,
     significance_sweep,
@@ -275,10 +275,9 @@ def cmd_montecarlo(args) -> int:
     payload = {"noise": args.noise, "p": args.p, "qubits": args.qubits,
                "shots": args.shots, "trials": args.trials, "seed": args.seed}
     payload.update(meta)
-    for name in names:
-        ineq = _inequality(name, args.qubits)
-        budget = ShotBudget.equal_split(args.shots, ineq)
-        summary = monte_carlo_study(noisy, ineq, budget, args.trials, seed=args.seed)
+    ineqs = [_inequality(name, args.qubits) for name in names]
+    studies = [(q, ShotBudget.equal_split(args.shots, q)) for q in ineqs]
+    for name, summary in zip(names, _monte_carlo_studies(noisy, studies, args.trials, args.seed)):
         payload[name] = summary.to_json_dict()
     _write_output(_dump_json(payload), args.out)
     return EXIT_OK
@@ -365,9 +364,12 @@ def main(argv=None) -> int:
     # argparse reads a separate '-1e-3' or '-inf' as an option; after a float option it is joined as '--opt=-1e-3'
     commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     actions = commands[argv[0]]._actions if argv and argv[0] in commands else ()
+    options = [s for a in actions for s in a.option_strings]
     floats = {s for a in actions if a.type is float for s in a.option_strings}
     for i in range(len(argv) - 1, 0, -1):  # from the right, so a join moves no token still to be read
-        if argv[i - 1] in floats and _NEGATIVE_FLOAT.fullmatch(argv[i]):
+        # a token names an option in full or, as argparse's allow_abbrev reads it, as a prefix of no other option
+        named = [s for s in options if s == argv[i - 1]] or [s for s in options if s.startswith(argv[i - 1])]
+        if len(named) == 1 and named[0] in floats and _NEGATIVE_FLOAT.fullmatch(argv[i]):
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
     try:

@@ -30,6 +30,8 @@ NOISE_FAMILIES = tuple(_NOISE)
 DEFAULT_SPAN = {"bitflip": (0.0, 0.25), "white": (0.0, 0.9)}
 # entries per sweep chunk of (G, d, d) states (16 points at 4 qubits, 1 at 6) and per Monte Carlo block of counts
 _CHUNK_ENTRIES = 2**12
+# the largest mean Generator.poisson accepts (numpy's private POISSON_LAM_MAX)
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
 
 class NoCrossingError(RuntimeError):
@@ -190,6 +192,15 @@ def _expected_counts(probabilities: np.ndarray, ineq: BellInequality, budget: Sh
     return copies[:, None] * probabilities
 
 
+def _poisson_means(rho, ineq: BellInequality, budget: ShotBudget) -> np.ndarray:
+    """The expected-count table of ``ineq``, refused if ``Generator.poisson`` cannot sample it."""
+    means = _expected_counts(ineq.probabilities(rho), ineq, budget)
+    s, o = divmod(int(means.argmax()), means.shape[1])
+    if means[s, o] > _POISSON_LAM_MAX:
+        raise ValueError(f"expected count {float(means[s, o])!r} in setting {ineq.settings[s].label!r} is too large to sample")
+    return means
+
+
 def predicted_counts(rho, ineq: BellInequality, budget: ShotBudget) -> CountTable:
     """Deterministic expectation of the counting experiment: N_s * p_{s,o}."""
     means = _expected_counts(ineq.probabilities(rho), ineq, budget)
@@ -201,9 +212,10 @@ def sample_counts(rho, ineq: BellInequality, budget: ShotBudget, seed) -> CountT
 
     ``seed`` may be an int or a ``numpy.random.SeedSequence``; a fixed seed
     reproduces the table bit for bit.  One ``poisson`` call draws the whole
-    table, settings in order.
+    table, settings in order; a mean above the largest that ``poisson``
+    accepts is refused with its setting.
     """
-    counts = np.random.default_rng(seed).poisson(_expected_counts(ineq.probabilities(rho), ineq, budget))
+    counts = np.random.default_rng(seed).poisson(_poisson_means(rho, ineq, budget))
     return CountTable(ineq.name, {s.label: row for s, row in zip(ineq.settings, counts)}, mode="sampled")
 
 
@@ -232,6 +244,9 @@ def setting_estimates(counts, coeffs) -> tuple[np.ndarray, np.ndarray, np.ndarra
     n_tot = n.sum(axis=-1)
     if np.any(n_tot <= 0):
         raise ValueError("no events recorded in this setting")
+    for x in (float(n_tot.min()), float(n_tot.max())):  # Python floats: no warning on overflow or underflow
+        if not np.finfo(float).tiny <= x * x < math.inf:  # False for NaN too
+            raise ValueError(f"setting total {x!r} has no finite positive normal square")
     supported = n > 0
     spread = np.where(supported, lam, -np.inf).max(axis=-1) - np.where(supported, lam, np.inf).min(axis=-1)
     flat = spread <= DEFAULT.coeff_spread
@@ -527,6 +542,41 @@ class MonteCarloSummary:
         return {k: (v if not isinstance(v, float) or math.isfinite(v) else "nan") for k, v in asdict(self).items()}
 
 
+def _monte_carlo_studies(rho, studies, trials: int, seed: int) -> list[MonteCarloSummary]:
+    """``monte_carlo_study`` of each (inequality, budget) pair of ``studies``: trial
+    i's generator is built once, and its fresh state set back before each later
+    study's draw.  A block of trials holds at most ``_CHUNK_ENTRIES`` counts per study."""
+    if not isinstance(trials, (int, np.integer)):
+        raise ValueError(f"trials must be a whole number, got {trials!r}")
+    if trials < 100:
+        raise ValueError("need at least 100 trials for a meaningful comparison")
+    expected = [_poisson_means(rho, q, b) for q, b in studies]
+    v_pred = [float(_combine(*setting_estimates(x, q.outcome_coeffs)[:2], q.lhv_bound)[0])
+              for x, (q, _) in zip(expected, studies)]
+    v, e = np.zeros((2, len(studies), trials))
+    block = max(1, _CHUNK_ENTRIES // max(x.size for x in expected))
+    for start in range(0, trials, block):
+        stop = min(start + block, trials)
+        draws = []
+        for i in range(start, stop):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+            fresh = rng.bit_generator.state
+            for k, x in enumerate(expected):
+                if k:
+                    rng.bit_generator.state = fresh
+                draws.append(rng.poisson(x))
+        for k, (q, _) in enumerate(studies):
+            counts = np.stack(draws[k::len(studies)])
+            v[k, start:stop], e[k, start:stop] = _combine(*setting_estimates(counts, q.outcome_coeffs)[:2], q.lhv_bound)
+    summaries = []
+    for vk, ek, vp in zip(v, e, v_pred):
+        v_std, e_mean = float(np.std(vk, ddof=1)), float(np.mean(ek))
+        ratio = v_std / e_mean if e_mean > 0 else math.nan
+        coverage = float(np.mean(np.abs(vk - vp) <= ek))
+        summaries.append(MonteCarloSummary(trials, vp, float(np.mean(vk)), v_std, e_mean, ratio, coverage))
+    return summaries
+
+
 def monte_carlo_study(
     rho,
     ineq: BellInequality,
@@ -538,27 +588,11 @@ def monte_carlo_study(
 
     Runs ``trials`` independent sampled experiments and compares the
     empirical spread of V with the average propagated E.  Trial i draws its
-    counts from its own ``SeedSequence(entropy=seed, spawn_key=(i,))``
-    generator, so any execution order gives the same set; blocks of up to
-    ``_CHUNK_ENTRIES`` counts go to ``setting_estimates`` as one (B, S, 2**n)
-    stack, which estimates each row on its own.  ``coverage`` is the fraction
-    of trials whose +-1E interval contains the deterministic V.
+    counts from the fresh state of its own ``SeedSequence(entropy=seed,
+    spawn_key=(i,))`` generator, so any execution order, and any study run
+    alongside, gives the same set; blocks of up to ``_CHUNK_ENTRIES`` counts go
+    to ``setting_estimates`` as one (B, S, 2**n) stack, which estimates each
+    row on its own.  ``coverage`` is the fraction of trials whose +-1E interval
+    contains the deterministic V.
     """
-    if not isinstance(trials, (int, np.integer)):
-        raise ValueError(f"trials must be a whole number, got {trials!r}")
-    if trials < 100:
-        raise ValueError("need at least 100 trials for a meaningful comparison")
-    expected = _expected_counts(ineq.probabilities(rho), ineq, budget)
-    v_pred = float(_combine(*setting_estimates(expected, ineq.outcome_coeffs)[:2], ineq.lhv_bound)[0])
-    v, e = np.zeros((2, trials))
-    block = max(1, _CHUNK_ENTRIES // expected.size)
-    for start in range(0, trials, block):
-        stop = min(start + block, trials)
-        rngs = (np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,))) for i in range(start, stop))
-        counts = np.stack([rng.poisson(expected) for rng in rngs])
-        v[start:stop], e[start:stop] = _combine(*setting_estimates(counts, ineq.outcome_coeffs)[:2], ineq.lhv_bound)
-    v_std = float(np.std(v, ddof=1))
-    e_mean = float(np.mean(e))
-    ratio = v_std / e_mean if e_mean > 0 else math.nan
-    coverage = float(np.mean(np.abs(v - v_pred) <= e))
-    return MonteCarloSummary(trials, v_pred, float(np.mean(v)), v_std, e_mean, ratio, coverage)
+    return _monte_carlo_studies(rho, [(ineq, budget)], trials, seed)[0]

@@ -1,8 +1,10 @@
 import argparse
 import json
 import math
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from entsig import (
@@ -384,6 +386,51 @@ class TestMonteCarloCommand:
         assert code == 2
         assert "trials" in err
 
+    def test_one_generator_per_trial_for_both_inequalities(self, capsys, monkeypatch):
+        built = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a, **k: built.append(a) or default_rng(*a, **k))
+        code, _, _ = run_cli(capsys, "montecarlo", "--trials", "100", "--inequality", "both")
+        assert code == 0
+        assert len(built) == 100
+
+
+class TestCountRange:
+    # counts too large to sample, and setting totals whose square leaves the
+    # normal floating-point range, are refused by name with no warning
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--shots", "1e300", "--seed", "1"],
+        ["montecarlo", "--shots", "1e200", "--trials", "100"],
+    ])
+    def test_too_large_to_sample(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: expected count \S+ in setting 'XXXX' is too large to sample\n", err)
+
+    def test_predicting_needs_no_sampling(self, capsys):
+        code, out, err = run_cli(capsys, "predict", "--shots", "1e300")
+        assert (code, err) == (0, "")
+        assert "1.5625e+298" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--grid", "0.1:0.2:2", "--shots", "1e160"],
+        ["sweep", "--grid", "0.1:0.2:2", "--shots", "1e-300"],
+        ["montecarlo", "--shots", "1e-300", "--trials", "100"],
+        ["crossing", "--shots", "1e160"],
+    ])
+    def test_total_out_of_range_is_config_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: setting total \S+ has no finite positive normal square\n", err)
+
+    def test_total_out_of_range_in_a_table_is_data_error(self, tmp_path, capsys, rho_ghz4, mermin4):
+        path = tmp_path / "huge.json"
+        table = predicted_counts(rho_ghz4, mermin4, ShotBudget.equal_split(1e160, mermin4))
+        path.write_text(json.dumps(table.to_json_dict()))
+        code, _, err = run_cli(capsys, "report", "--counts", str(path))
+        assert code == 3
+        assert err.startswith("error: setting total 1.249") and err.count("\n") == 1
+
 
 # every float option of every command, read from the parser; cheap arguments
 # that let each command reach its own check of the option
@@ -414,11 +461,31 @@ class TestNegativeFloatValues:
         assert joined[0] == 0
         assert run_cli(capsys, "sweep", *CHEAP_ARGS["sweep"], "--lambda", value) == joined
 
+    @pytest.mark.parametrize("argv, abbreviation", [
+        (["sweep", *CHEAP_ARGS["sweep"], "--alpha", "-1e-3"], "--alph"),
+        (["predict", "--state", "ansatz", "--lambda", "-1e-3"], "--lam"),
+        (["crossing", "--state", "ansatz", "--gamma", "-inf"], "--gam"),
+        (["montecarlo", *CHEAP_ARGS["montecarlo"], "--shots", "-1E3"], "--sh"),
+    ])
+    def test_abbreviated_option_reads_as_full(self, capsys, argv, abbreviation):
+        full = run_cli(capsys, *argv)
+        assert full[0] == 2 and full[2].startswith("error: ")
+        i = len(argv) - 2
+        assert run_cli(capsys, *argv[:i], abbreviation, argv[-1]) == full
+
+    def test_ambiguous_prefix_is_left_to_argparse(self, capsys):
+        # --s could be --shots or --state, so nothing is joined
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--s", "-1e-3", "--grid", "0:0.1:2"])
+        assert exc.value.code == 2
+        assert "ambiguous option: --s could match --shots, --state" in capsys.readouterr().err
+
     def test_int_option_is_not_joined(self):
         # only float options take a separate negative float; --seed stays as argparse reads it
-        with pytest.raises(SystemExit) as exc:
-            main(["predict", "--seed", "-1e3"])
-        assert exc.value.code == 2
+        for seed in ("--seed", "--see"):
+            with pytest.raises(SystemExit) as exc:
+                main(["predict", seed, "-1e3"])
+            assert exc.value.code == 2
 
 
 class TestParser:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,7 +31,9 @@ from entsig import (
     mermin,
 )
 import entsig.significance as significance
-from entsig.significance import _CHUNK_ENTRIES, NOISE_FAMILIES, _combine, setting_estimates
+from entsig.significance import (
+    _CHUNK_ENTRIES, _POISSON_LAM_MAX, NOISE_FAMILIES, _combine, _monte_carlo_studies, setting_estimates,
+)
 from conftest import lab_noise_row, random_density
 
 
@@ -173,6 +176,20 @@ class TestSampleCounts:
         for s in ardehali4.settings:
             assert np.array_equal(t1.for_setting(s.label), t2.for_setting(s.label))
 
+    def test_largest_poisson_mean_is_sampled_and_the_next_is_refused(self, rho_ghz4, mermin4):
+        # numpy's own check says only "lam value too large"; entsig names the
+        # setting and its count before any draw
+        p_max = mermin4.probabilities(rho_ghz4).max()
+        labels = [s.label for s in mermin4.settings]
+        at_limit = _POISSON_LAM_MAX / p_max
+        assert at_limit * p_max == _POISSON_LAM_MAX
+        table = sample_counts(rho_ghz4, mermin4, ShotBudget(8 * at_limit, dict.fromkeys(labels, at_limit)), seed=1)
+        assert table.for_setting("XXXX").max() > 0.99 * _POISSON_LAM_MAX
+        above = np.nextafter(at_limit, np.inf)
+        assert above * p_max == np.nextafter(_POISSON_LAM_MAX, np.inf)
+        with pytest.raises(ValueError, match=r"expected count 9\.2233720064847[0-9]*e\+18 in setting 'XXXX' is too large"):
+            sample_counts(rho_ghz4, mermin4, ShotBudget(8 * above, dict.fromkeys(labels, above)), seed=1)
+
     def test_empirical_mean_within_three_sigma(self):
         # single-outcome Poisson check across 10000 draws
         rng_means = 37.5
@@ -246,6 +263,17 @@ class TestSettingEstimates:
     def test_any_empty_row_rejected(self):
         with pytest.raises(ValueError, match="no events"):
             setting_estimates([[1.0, 2.0], [0.0, 0.0]], [[1.0, -1.0], [1.0, -1.0]])
+
+    @pytest.mark.parametrize("total", [1e155, math.inf, 2.0**-511 * (1 - 2.0**-53), 1e-300, 5e-324])
+    def test_total_without_a_normal_square_is_named(self, total):
+        # n_tot * n_tot overflows or underflows: refused by name, with no warning
+        with pytest.raises(ValueError, match=re.escape(f"setting total {total!r} has no finite positive normal square")):
+            setting_estimates([[1.0, 1.0], [total, 0.0]], [[1.0, -1.0], [1.0, -1.0]])
+
+    @pytest.mark.parametrize("total", [1e154, 2.0**-511])
+    def test_totals_at_the_edge_keep_the_formula(self, total):
+        means, errors, totals = setting_estimates([[0.25 * total, 0.75 * total]], [[1.0, -1.0]])
+        assert (means[0], errors[0], totals[0]) == scalar_estimate([0.25 * total, 0.75 * total], [1.0, -1.0])
 
     def test_count_stack_matches_each_table_alone(self, rng):
         # a (G, S, d) stack against one (S, d) coefficient table gives, per
@@ -702,3 +730,16 @@ class TestMonteCarlo:
             float(np.mean(np.abs(v - v_pred) <= e)),
         )
         assert monte_carlo_study(noisy, ineq, budget, trials, seed=seed) == reference
+
+    @pytest.mark.parametrize("n, trials, seed", [(4, 100, 0), (4, 100, 3), (4, 137, 0), (4, 137, 3), (6, 101, 5)])
+    def test_joint_studies_match_separate_studies(self, n, trials, seed):
+        # one generator per trial for both studies; each still draws from its fresh state
+        noisy = apply_noise(DensityMatrix.from_pure(ghz_state(n)), "bitflip", 0.05)
+        studies = [(q, ShotBudget.equal_split(8000, q)) for q in (mermin(n), ardehali(n))]
+        joint = _monte_carlo_studies(noisy, studies, trials, seed)
+        assert joint == [monte_carlo_study(noisy, q, b, trials, seed=seed) for q, b in studies]
+
+    def test_too_large_mean_refused_before_the_predicted_violation(self, rho_ghz4, mermin4):
+        budget = ShotBudget.equal_split(1e200, mermin4)
+        with pytest.raises(ValueError, match="in setting 'XXXX' is too large to sample"):
+            monte_carlo_study(rho_ghz4, mermin4, budget, trials=100)
