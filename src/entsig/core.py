@@ -9,6 +9,7 @@ ordering of operator strings such as "XXYY".
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -170,13 +171,20 @@ class DensityMatrix:
 
 
 def _validate_stack(m: np.ndarray) -> None:
-    """The ``DensityMatrix`` checks on a writable (G, d, d) stack, with one
-    batched ``eigvalsh``: the first failing member raises, and each member that
-    needs the PSD clamp is replaced in place by its projection."""
+    """The ``DensityMatrix`` checks on a writable (G, d, d) stack: the first
+    failing member raises, and each member that needs the PSD clamp is replaced
+    in place by its projection.  ``eigvalsh`` runs only if a batched Cholesky of
+    m + psd_clamp/2 I fails: by its backward-error bound (Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm 10.3) at unit trace and d <= 64, all
+    eigenvalues then lie above -psd_clamp/2 - gamma_65 ~ -5.7e-14, and eigvalsh's
+    own error of about 1e-14 keeps its minimum above -psd_clamp: nothing to clamp."""
     require_hermitian(m, DEFAULT.hermitian, "density matrix")
     tr = np.trace(m, axis1=-2, axis2=-1).real
     if (bad := np.flatnonzero(np.abs(tr - 1.0) > DEFAULT.trace_one)).size:
         raise ValueError(f"density matrix trace is {float(tr[bad[0]])!r}, expected 1")
+    with contextlib.suppress(np.linalg.LinAlgError):
+        np.linalg.cholesky(m + 0.5 * DEFAULT.psd_clamp * np.eye(m.shape[-1]))
+        return
     lo = np.linalg.eigvalsh(m)[:, 0]
     if (bad := np.flatnonzero(lo < -DEFAULT.psd)).size:
         raise ValueError(f"density matrix has negative eigenvalue {lo[bad[0]]:.3e}")

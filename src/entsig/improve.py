@@ -110,6 +110,8 @@ def exact_improvement(
         b = dev * dev / a
     if not 0 < b < math.inf:
         raise ValueError(f"parameter b must be positive and finite, got {b!r}")
+    if not math.isfinite(a * a + b * b):  # W' would hold entries whose squares overflow
+        raise ValueError(f"parameters a and b must have a finite norm, got {a!r} and {b!r}")
     if a * b < dev * dev * (1.0 - DEFAULT.positivity):
         raise ValueError(
             f"positivity needs a*b >= Delta^2: a*b = {a * b:.6g} < {dev * dev:.6g}"

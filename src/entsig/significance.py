@@ -8,7 +8,7 @@ Gaussian-propagated error
 
 Settings are measured on disjoint ensembles, so setting errors combine in
 quadrature.  Significance is S = V / E with V the violation; S is flagged
-infinite when the error vanishes while the violation is positive.
+infinite when the error is exactly zero while the violation is positive.
 """
 
 from __future__ import annotations
@@ -177,13 +177,11 @@ class SignificanceReport:
         }
 
 
-def _significance_of(v: float, e: float) -> tuple[float, bool]:
-    """Map (V, E) to (S, degenerate) with the zero-error convention."""
-    if e > DEFAULT.zero_error:
-        return v / e, False
-    if v > 0:
-        return math.inf, False
-    return 0.0, True
+def _significance_of(v: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map V and E arrays to (S, degenerate): S = V/E, and where E == 0.0, S is
+    inf for V > 0 and otherwise 0, flagged degenerate."""
+    zero = e == 0.0
+    return np.where(zero, np.where(v > 0, np.inf, 0.0), v / np.where(zero, 1.0, e)), zero & np.logical_not(v > 0)
 
 
 def _expected_counts(probabilities: np.ndarray, ineq: BellInequality, budget: ShotBudget) -> np.ndarray:
@@ -225,7 +223,7 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def setting_estimates(counts, coeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def setting_estimates(counts, coeffs, labels=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Means, Gaussian-propagated errors and total counts of a stack of settings.
 
     ``counts`` is a (..., n_settings, n_outcomes) stack of count tables and
@@ -233,7 +231,8 @@ def setting_estimates(counts, coeffs) -> tuple[np.ndarray, np.ndarray, np.ndarra
     estimated on its own.  When every outcome that actually occurred in a row
     carries the same coefficient (stabilizer measurements, single-outcome
     support), that row's mean equals the first such coefficient and its error
-    is exactly zero; the general formula only blurs this with round-off.
+    is exactly zero; the general formula only blurs this with round-off.  A
+    mean or error that is not finite is refused, naming its ``labels`` entry or row.
     """
     n = np.ascontiguousarray(counts, dtype=float)
     lam = np.ascontiguousarray(coeffs, dtype=float)
@@ -250,10 +249,16 @@ def setting_estimates(counts, coeffs) -> tuple[np.ndarray, np.ndarray, np.ndarra
     supported = n > 0
     spread = np.where(supported, lam, -np.inf).max(axis=-1) - np.where(supported, lam, np.inf).min(axis=-1)
     flat = spread <= DEFAULT.coeff_spread
-    mean = _row_dot(lam, n) / n_tot
-    err_sq = _row_dot((lam - mean[..., None]) ** 2, n) / (n_tot * n_tot)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge coefficients: refused below
+        mean = _row_dot(lam, n) / n_tot
+        err_sq = _row_dot((lam - mean[..., None]) ** 2, n) / (n_tot * n_tot)
     first = lam[np.arange(len(lam)), supported.argmax(axis=-1)]
-    return np.where(flat, first, mean), np.where(flat, 0.0, np.sqrt(err_sq)), n_tot
+    mean, err = np.where(flat, first, mean), np.where(flat, 0.0, np.sqrt(err_sq))
+    if (bad := np.flatnonzero(~(np.isfinite(mean) & np.isfinite(err)))).size:
+        i, s = bad[0], bad[0] % len(lam)
+        name = repr(labels[s]) if labels else f"row {s}"
+        raise ValueError(f"setting {name} has no finite estimate: mean {float(mean.flat[i])!r}, error {float(err.flat[i])!r}")
+    return mean, err, n_tot
 
 
 def setting_estimate(counts, coeffs) -> tuple[float, float]:
@@ -291,21 +296,21 @@ def evaluate(counts: CountTable, ineq: BellInequality) -> SignificanceReport:
         if vec.size != d:
             raise ValueError(f"setting {label!r} has {vec.size} outcomes, expected {d}")
         rows.append(vec)
-    means, errors, totals = setting_estimates(np.array(rows, dtype=float), ineq.outcome_coeffs)
+    means, errors, totals = setting_estimates(np.array(rows, dtype=float), ineq.outcome_coeffs, labels)
     estimates = tuple(map(SettingEstimate, labels, means.tolist(), errors.tolist(), totals.tolist()))
-    v, e = map(float, _combine(means, errors, ineq.lhv_bound))
+    v, e = _combine(means, errors, ineq.lhv_bound)
     s, degenerate = _significance_of(v, e)
     meta = {"inequality": ineq.name, "lhv_bound": ineq.lhv_bound,
             "mode": counts.mode, "total_counts": counts.total()}
-    return SignificanceReport(v, e, s, degenerate, estimates, meta)
+    return SignificanceReport(float(v), float(e), float(s), bool(degenerate), estimates, meta)
 
 
 def variance_model_significance(state, test, copies: float | None = None) -> SignificanceReport:
     """Significance in the simple model E = sqrt(<T^2> - <T>^2).
 
     ``test`` is a Witness (V = -<W>) or a BellInequality (V = <B> - C_lhv).
-    By default E is the single-copy standard deviation; pass ``copies`` to
-    scale it by 1/sqrt(copies).
+    By default E is the single-copy standard deviation, taken as 0.0 when at
+    most ``zero_error`` (round-off); pass ``copies`` to scale it by 1/sqrt(copies).
     """
     if isinstance(test, Witness):
         op, v_sign, offset, name = test.matrix, -1.0, 0.0, test.name
@@ -315,12 +320,13 @@ def variance_model_significance(state, test, copies: float | None = None) -> Sig
         raise ValueError("test must be a Witness or a BellInequality")
     v = v_sign * expectation(state, op) - offset
     e = math.sqrt(variance(state, op))
+    e = e if e > DEFAULT.zero_error else 0.0
     if copies is not None:
         if copies <= 0:
             raise ValueError("copies must be positive")
         e /= math.sqrt(copies)
     s, degenerate = _significance_of(v, e)
-    return SignificanceReport(v, e, s, degenerate, (), {"error_model": "variance", "test": name})
+    return SignificanceReport(v, e, float(s), bool(degenerate), (), {"error_model": "variance", "test": name})
 
 
 def _as_initial_state(initial_state, n: int) -> DensityMatrix:
@@ -432,11 +438,8 @@ def _sweep_evaluator(ineqs, noise: str, grid, initial_state, total_copies: float
         _validate_stack(noisy)
         fid = [fidelity_with_pure(m, reference) for m in noisy]
         means, errors, _ = setting_estimates(copies * _probability_rows(noisy, plan), coeffs)
-        table = []
-        for q, a, b in zip(ineqs, offsets, offsets[1:]):
-            v, e = _combine(means[:, a:b], errors[:, a:b], q.lhv_bound)
-            table.append((v, e, [_significance_of(vi, ei)[0] for vi, ei in zip(v.tolist(), e.tolist())]))
-        return np.array(fid), np.array(table)
+        ves = [_combine(means[:, a:b], errors[:, a:b], q.lhv_bound) for q, a, b in zip(ineqs, offsets, offsets[1:])]
+        return np.array(fid), np.array([(v, e, _significance_of(v, e)[0]) for v, e in ves])
 
     return ineqs, grid, step, chunk
 

@@ -26,7 +26,7 @@ class Tolerances:
     eig_residual: float = 1e-9      # ||M v - lam v|| per unit matrix norm
     diagonal_term: float = 1e-10    # off-diagonal residue allowed for setting terms
     coeff_spread: float = 1e-12     # supported coefficients within this act as one value
-    zero_error: float = 1e-12       # statistical errors below this count as zero
+    zero_error: float = 1e-12       # variance-model single-copy deviations up to this count as zero
     zero_expectation: float = 1e-12 # |<W>| below this is degenerate for Q
     min_deviation: float = 1e-10    # smallest usable Delta_psi(W)
     bisection: float = 1e-6         # noise-parameter resolution of crossing search

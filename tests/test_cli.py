@@ -1,11 +1,16 @@
 import argparse
+import io
 import json
 import math
 import re
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entsig import (
     ShotBudget,
@@ -432,6 +437,37 @@ class TestCountRange:
         assert err.startswith("error: setting total 1.249") and err.count("\n") == 1
 
 
+class TestOverflowEdges:
+    def test_tiny_error_prints_finite_significance(self, capsys):
+        # E below 1e-12 is still an error: S = V/E, not inf or 0
+        code, out, err = run_cli(capsys, "sweep", "--grid", "0.1:0.2:2", "--shots", "1e26")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == [
+            "0.1,0.6562,1.2496,5.91582815e-13,2.11229936e+12,2.42117288,9.94972476e-13,2.43340689e+12",
+            "0.2,0.4112,-0.7104,7.04590879e-13,-1.00824467e+12,0.461172875,1.0660433e-12,4.32602388e+11",
+        ]
+
+    def test_overflowing_coefficients_are_data_error(self, tmp_path, capsys, rho_ghz4, mermin4):
+        from entsig import apply_noise
+
+        data = inequality_to_json_dict(mermin4)
+        for entry in data["settings"]:
+            entry["coefficients"] = [c * 1e200 for c in entry["coefficients"]]
+        data["lhv_bound"] *= 1e200
+        ineq, counts = tmp_path / "huge.json", tmp_path / "counts.json"
+        ineq.write_text(json.dumps(data))
+        table = predicted_counts(apply_noise(rho_ghz4, "bitflip", 0.05), mermin4, ShotBudget.equal_split(8000, mermin4))
+        counts.write_text(json.dumps(table.to_json_dict()))
+        assert run_cli(capsys, "report", "--counts", str(counts), "--inequality", str(ineq)) == (
+            3, "", "error: setting 'XXYY' has no finite estimate: mean 8.1e+199, error inf\n")
+
+    @pytest.mark.parametrize("option, value, a, b", [("--a", "1e-300", 1e-300, 1.9599999999999997e+298),
+                                                     ("--b", "1e300", 0.23999999999999988, 1e300)])
+    def test_improvement_parameters_need_a_finite_norm(self, capsys, option, value, a, b):
+        message = f"error: parameters a and b must have a finite norm, got {a!r} and {b!r}\n"
+        assert run_cli(capsys, "improve", option, value) == (2, "", message)
+
+
 # every float option of every command, read from the parser; cheap arguments
 # that let each command reach its own check of the option
 _COMMANDS = next(a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -486,6 +522,28 @@ class TestNegativeFloatValues:
             with pytest.raises(SystemExit) as exc:
                 main(["predict", seed, "-1e3"])
             assert exc.value.code == 2
+
+
+FLOAT_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300,
+                                5e-324, -5e-324, 1e-310, -0.0]) | st.floats(-2.0, 2.0) | st.floats(2.0, 1e5)
+
+
+class TestFloatInputs:
+    # any float in either spelling of any float option is read or refused:
+    # exit 0 in silence, or 2, 3 or 4 with one line; no traceback, no RuntimeWarning
+    @settings(max_examples=80, deadline=None)
+    @given(case=st.sampled_from(FLOAT_OPTIONS), value=FLOAT_VALUES, joined=st.booleans())
+    @example(case=("improve", "--a"), value=1e-300, joined=False)  # an improved witness that overflows
+    @example(case=("improve", "--b"), value=1e300, joined=True)
+    def test_every_float_input_is_read_or_refused(self, case, value, joined):
+        command, option = case
+        argv = [command, *CHEAP_ARGS[command], *([f"{option}={value!r}"] if joined else [option, repr(value)])]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stdout(io.StringIO()), redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+        pattern = {0: "", 4: r"no crossing: [^\n]*\n"}.get(code, r"error: [^\n]*\n")
+        assert code in (0, 2, 3, 4) and re.fullmatch(pattern, err.getvalue()) and caught == []
 
 
 class TestParser:

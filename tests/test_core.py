@@ -18,7 +18,8 @@ from entsig import (
     tensor,
     variance,
 )
-from entsig.core import _validate_stack
+from entsig.core import _validate_stack, require_hermitian
+from entsig.cli import main
 from conftest import random_density, random_pure
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -156,6 +157,75 @@ class TestValidateStack:
         with pytest.raises(ValueError) as stacked:
             _validate_stack(np.array([self.FINE, bad, self.FINE]))
         assert str(stacked.value) == str(single.value)
+
+
+def eigvalsh_validate(m):
+    """The reference stack validator: one batched ``eigvalsh`` decides every
+    member, with no Cholesky certificate in front of it."""
+    require_hermitian(m, DEFAULT.hermitian, "density matrix")
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    if (bad := np.flatnonzero(np.abs(tr - 1.0) > DEFAULT.trace_one)).size:
+        raise ValueError(f"density matrix trace is {float(tr[bad[0]])!r}, expected 1")
+    lo = np.linalg.eigvalsh(m)[:, 0]
+    if (bad := np.flatnonzero(lo < -DEFAULT.psd)).size:
+        raise ValueError(f"density matrix has negative eigenvalue {lo[bad[0]]:.3e}")
+    for g in np.flatnonzero(lo < -DEFAULT.psd_clamp):
+        vals, vecs = np.linalg.eigh(m[g])
+        vals = np.clip(vals, 0.0, None)
+        vals /= vals.sum()
+        m[g] = (vecs * vals) @ vecs.conj().T
+
+
+def outcome(validate, stack):
+    """Output bytes of an in-place validation, or the text of its exception."""
+    stack = stack.copy()
+    try:
+        validate(stack)
+    except ValueError as exc:
+        return str(exc)
+    return stack.tobytes()
+
+
+class TestPositivityCertificate:
+    # the Cholesky certificate in front of eigvalsh must change no decision:
+    # rejection (-2e-10), clamp (-5e-13), and the round-off left alone near
+    # and below the certificate's shift of psd_clamp/2
+    LAMBDA_MIN = (-2e-10, -5e-13, -8e-14, -5e-14, 0.0, 1e-3)
+
+    @staticmethod
+    def member(rng, d, lam_min):
+        """U diag(lam) U^dag with a random unitary U, unit trace and lam_min as its least eigenvalue."""
+        u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        rest = rng.uniform(0.5, 1.5, size=d - 1)
+        lam = np.concatenate([[lam_min], rest * (1.0 - lam_min) / rest.sum()])
+        return (u * lam) @ u.conj().T
+
+    @pytest.mark.parametrize("d", [16, 64])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_decisions_as_eigvalsh(self, d, seed):
+        rng = np.random.default_rng(seed)
+        members = [self.member(rng, d, lam) for lam in self.LAMBDA_MIN]
+        for m in members:
+            assert outcome(_validate_stack, m[None]) == outcome(eigvalsh_validate, m[None])
+        everything = np.array(members)
+        admitted = everything[1:]
+        for stack in (everything, admitted, admitted[::-1]):
+            assert outcome(_validate_stack, stack) == outcome(eigvalsh_validate, stack)
+        assert "negative eigenvalue" in outcome(_validate_stack, everything)
+
+    def test_default_sweep_makes_no_eigensolve(self, monkeypatch, capsys):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(a) or eigvalsh(*a, **k))
+        assert main(["sweep"]) == 0
+        assert calls == []
+        eps = 5e-11  # one member needs the clamp, so the stack falls back to eigvalsh
+        needs = np.diag([0.5, 0.5 + eps, -eps, 0.0]).astype(complex)
+        stack = np.array([np.eye(4, dtype=complex) / 4, needs])
+        expected = outcome(eigvalsh_validate, stack)
+        calls.clear()
+        assert outcome(_validate_stack, stack) == expected
+        assert len(calls) == 1
 
 
 class TestExpectation:

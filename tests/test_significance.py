@@ -13,6 +13,7 @@ from entsig import (
     DensityMatrix,
     MonteCarloSummary,
     NoCrossingError,
+    PureState,
     ShotBudget,
     apply_noise,
     crossing_point,
@@ -743,3 +744,55 @@ class TestMonteCarlo:
         budget = ShotBudget.equal_split(1e200, mermin4)
         with pytest.raises(ValueError, match="in setting 'XXXX' is too large to sample"):
             monte_carlo_study(rho_ghz4, mermin4, budget, trials=100)
+
+
+class TestZeroErrorIsExact:
+    # S is inf only for an error of exactly 0.0; a tiny nonzero error at a
+    # huge shot count gives the finite V/E it stands for
+    def test_tiny_error_in_a_table_gives_finite_significance(self, rho_ghz4, mermin4):
+        rho = apply_noise(rho_ghz4, "bitflip", 0.1)
+        rep = evaluate(predicted_counts(rho, mermin4, ShotBudget.equal_split(1e26, mermin4)), mermin4)
+        assert 0.0 < rep.error <= 1e-12
+        assert rep.significance == rep.violation / rep.error and not rep.degenerate
+
+    def test_tiny_error_in_a_sweep_gives_finite_significance(self, mermin4, ardehali4):
+        table = significance_sweep((mermin4, ardehali4), "bitflip", [0.1, 0.2], total_copies=1e26)
+        for tag in "MA":
+            v, e, s = (table.values[tag][k] for k in "VES")
+            assert np.all(e > 0.0) and e[0] <= 1e-12
+            assert bits(s) == bits([vi / ei for vi, ei in zip(v.tolist(), e.tolist())])
+
+    def test_exact_zero_keeps_the_convention(self, rho_ghz4, mermin4):
+        # the support rule's exact zeros: inf for V > 0, else 0 flagged degenerate
+        s, degenerate = significance._significance_of(np.array([2.0, 0.0, -1.0, 3.0]), np.array([0.0, 0.0, 0.0, 1e-300]))
+        assert s.tolist() == [math.inf, 0.0, 0.0, 3e300] and degenerate.tolist() == [False, True, True, False]
+        rep = evaluate(predicted_counts(rho_ghz4, mermin4, ShotBudget.equal_split(1e26, mermin4)), mermin4)
+        assert rep.error == 0.0 and rep.infinite
+
+    def test_copies_do_not_decide_infinity_in_the_variance_model(self, ghz4, witness4):
+        psi = PureState(4, np.r_[0.8, np.zeros(14), 0.6])
+        rep = variance_model_significance(psi, witness4, copies=1e30)
+        assert 0.0 < rep.error < 1e-12
+        assert rep.significance == rep.violation / rep.error and math.isfinite(rep.significance)
+        for copies in (None, 1e-30, 1.0, 1e30):
+            rep = variance_model_significance(ghz4, witness4, copies=copies)
+            assert rep.error == 0.0 and rep.infinite
+
+
+class TestEstimateRange:
+    # coefficients whose estimates overflow are refused by name, with no
+    # warning; a row whose support shares one coefficient keeps its exact zero
+    def test_overflowing_error_is_named(self):
+        counts, coeffs = [[3.0, 1.0], [2.0, 2.0]], [[1.0, -1.0], [1e200, -1e200]]
+        with pytest.raises(ValueError, match=re.escape("setting row 1 has no finite estimate: mean 0.0, error inf")):
+            setting_estimates(counts, coeffs)
+        with pytest.raises(ValueError, match=re.escape("setting 'XY' has no finite estimate")):
+            setting_estimates(counts, coeffs, ["XX", "XY"])
+
+    def test_overflowing_mean_is_named(self):
+        with pytest.raises(ValueError, match=re.escape("setting row 0 has no finite estimate: mean inf")):
+            setting_estimates([[1e10, 1e10]], [[1e300, 1e300 * (1 - 2**-50)]])
+
+    def test_flat_row_with_huge_coefficients_keeps_its_zero(self):
+        means, errors, _ = setting_estimates([[5.0, 0.0]], [[1e200, -1e200]])
+        assert means.tolist() == [1e200] and errors.tolist() == [0.0]
