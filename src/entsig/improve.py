@@ -125,7 +125,11 @@ def exact_improvement(
     p_perp = perp.projector()
     cross = np.outer(psi.amplitudes, perp.amplitudes.conj())
     added = a * p_psi + b * p_perp - dev * (cross + cross.conj().T)
-    return _finish(psi, w, added)
+    result = _finish(psi, w, added)
+    if not abs(result.expectation_after - (mean + a)) <= DEFAULT.shift_residual:  # W' swamped by a and b
+        raise ValueError(f"parameters a = {a!r} and b = {b!r} lose <W'> to round-off: "
+                         f"got {result.expectation_after!r}, exact <W> + a = {mean + a!r}")
+    return result
 
 
 def _finish(psi: PureState, w: Witness, added: np.ndarray) -> ImprovementResult:

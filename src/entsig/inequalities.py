@@ -459,9 +459,10 @@ def inequality_from_json_dict(data: dict) -> BellInequality:
         settings.append(MeasurementSetting(tuple(standard_observable(ch) for ch in label)))
         rows.append(coeffs)
     op = np.zeros((d, d), dtype=complex)
-    for setting, row in zip(settings, rows):
-        u = setting.basis
-        op += (u * row) @ u.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):  # coefficients near the float limit: evaluate refuses V and E
+        for setting, row in zip(settings, rows):
+            u = setting.basis
+            op += (u * row) @ u.conj().T
     return BellInequality(
         name=name, tag=tag, n_qubits=n,
         settings=tuple(settings), outcome_coeffs=np.array(rows),

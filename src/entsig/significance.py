@@ -28,8 +28,11 @@ _NOISE = {"bitflip": ("flip probability", _bit_flip_all), "white": ("white-noise
 NOISE_FAMILIES = tuple(_NOISE)
 # noise-parameter range of the default sweep grid and crossing search
 DEFAULT_SPAN = {"bitflip": (0.0, 0.25), "white": (0.0, 0.9)}
-# entries per sweep chunk of (G, d, d) states (16 points at 4 qubits, 1 at 6) and per Monte Carlo block of counts
+# entries per sweep chunk of (G, d, d) states: 16 points at 4 qubits, 1 at 6
 _CHUNK_ENTRIES = 2**12
+# count entries of a call's largest table per Monte Carlo block: 128 trials for the
+# 4-qubit pair, 256 for Mermin alone, 8 at 6 qubits; 0.4 MB of float64 counts at 4 qubits
+_BLOCK_COUNTS = 2**15
 # the largest mean Generator.poisson accepts (numpy's private POISSON_LAM_MAX)
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
@@ -298,7 +301,10 @@ def evaluate(counts: CountTable, ineq: BellInequality) -> SignificanceReport:
         rows.append(vec)
     means, errors, totals = setting_estimates(np.array(rows, dtype=float), ineq.outcome_coeffs, labels)
     estimates = tuple(map(SettingEstimate, labels, means.tolist(), errors.tolist(), totals.tolist()))
-    v, e = _combine(means, errors, ineq.lhv_bound)
+    with np.errstate(over="ignore", invalid="ignore"):  # sums past the float range: refused below
+        v, e = _combine(means, errors, ineq.lhv_bound)
+    if not (np.isfinite(v) and np.isfinite(e)):
+        raise ValueError(f"inequality {ineq.name!r} has no finite violation and error: V {float(v)!r}, E {float(e)!r}")
     s, degenerate = _significance_of(v, e)
     meta = {"inequality": ineq.name, "lhv_bound": ineq.lhv_bound,
             "mode": counts.mode, "total_counts": counts.total()}
@@ -548,7 +554,8 @@ class MonteCarloSummary:
 def _monte_carlo_studies(rho, studies, trials: int, seed: int) -> list[MonteCarloSummary]:
     """``monte_carlo_study`` of each (inequality, budget) pair of ``studies``: trial
     i's generator is built once, and its fresh state set back before each later
-    study's draw.  A block of trials holds at most ``_CHUNK_ENTRIES`` counts per study."""
+    study's draw.  Each study draws into one preallocated (block, S, 2**n) float64
+    array of at most ``_BLOCK_COUNTS`` counts, estimated in one pass per block."""
     if not isinstance(trials, (int, np.integer)):
         raise ValueError(f"trials must be a whole number, got {trials!r}")
     if trials < 100:
@@ -557,19 +564,19 @@ def _monte_carlo_studies(rho, studies, trials: int, seed: int) -> list[MonteCarl
     v_pred = [float(_combine(*setting_estimates(x, q.outcome_coeffs)[:2], q.lhv_bound)[0])
               for x, (q, _) in zip(expected, studies)]
     v, e = np.zeros((2, len(studies), trials))
-    block = max(1, _CHUNK_ENTRIES // max(x.size for x in expected))
+    block = min(trials, max(1, _BLOCK_COUNTS // max(x.size for x in expected)))
+    draws = [np.empty((block,) + x.shape) for x in expected]  # float64 takes each int64 draw as setting_estimates would
     for start in range(0, trials, block):
         stop = min(start + block, trials)
-        draws = []
         for i in range(start, stop):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
             fresh = rng.bit_generator.state
             for k, x in enumerate(expected):
                 if k:
                     rng.bit_generator.state = fresh
-                draws.append(rng.poisson(x))
+                draws[k][i - start] = rng.poisson(x)
         for k, (q, _) in enumerate(studies):
-            counts = np.stack(draws[k::len(studies)])
+            counts = draws[k][:stop - start]
             v[k, start:stop], e[k, start:stop] = _combine(*setting_estimates(counts, q.outcome_coeffs)[:2], q.lhv_bound)
     summaries = []
     for vk, ek, vp in zip(v, e, v_pred):
@@ -593,9 +600,11 @@ def monte_carlo_study(
     empirical spread of V with the average propagated E.  Trial i draws its
     counts from the fresh state of its own ``SeedSequence(entropy=seed,
     spawn_key=(i,))`` generator, so any execution order, and any study run
-    alongside, gives the same set; blocks of up to ``_CHUNK_ENTRIES`` counts go
-    to ``setting_estimates`` as one (B, S, 2**n) stack, which estimates each
-    row on its own.  ``coverage`` is the fraction of trials whose +-1E interval
-    contains the deterministic V.
+    alongside, gives the same set.  Trials are drawn into a preallocated
+    (B, S, 2**n) block of at most ``_BLOCK_COUNTS`` counts (B = 256 trials for
+    4-qubit Mermin, 8 for 6-qubit Ardehali), which goes to ``setting_estimates``
+    and ``_combine`` in one pass; each row is estimated on its own.
+    ``coverage`` is the fraction of trials whose +-1E interval contains the
+    deterministic V.
     """
     return _monte_carlo_studies(rho, [(ineq, budget)], trials, seed)[0]

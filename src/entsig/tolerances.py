@@ -33,6 +33,7 @@ class Tolerances:
     traceless: float = 1e-10        # |tr O| of a setting's +1/-1 observable
     budget_sum: float = 1e-6        # |sum of allocation - total copies| per max(1, total)
     positivity: float = 1e-12       # relative slack in a*b >= Delta^2 of an improvement
+    shift_residual: float = 1e-9    # |<W'> - (<W> + a)| allowed after an exact improvement
 
 
 DEFAULT = Tolerances()

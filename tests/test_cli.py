@@ -19,6 +19,7 @@ from entsig import (
     inequality_to_json_dict,
     predicted_counts,
 )
+import entsig.significance as significance
 from entsig.cli import build_parser, main
 
 # stdout, stderr and exit code of cheap commands, recorded with the same argv;
@@ -361,6 +362,17 @@ class TestImproveCommand:
         message = f"error: --c0 and --c1 must be finite with a finite norm, got {float(c0)!r} and {float(c1)!r}\n"
         assert run_cli(capsys, "improve", f"--c0={c0}", f"--c1={c1}") == (2, "", message)
 
+    @pytest.mark.parametrize("option, value, a, b, exact", [
+        ("--a", "1e-150", 1e-150, 1.9599999999999996e+148, -0.47999999999999976),
+        ("--b", "1e150", 0.23999999999999988, 1e150, -0.23999999999999988),
+    ])
+    def test_parameters_lost_to_round_off(self, capsys, option, value, a, b, exact):
+        # <W'> = <W> + a exactly; these pairs swamp it and used to print S after = -0.258064516
+        code, out, err = run_cli(capsys, "improve", option, value)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: parameters a = {a!r} and b = {b!r} lose <W'> to round-off: got ")
+        assert err.endswith(f", exact <W> + a = {exact!r}\n") and err.count("\n") == 1
+
     def test_a_too_large_named_in_error(self, capsys):
         code, _, err = run_cli(capsys, "improve", "--a", "0.9")
         assert code == 2
@@ -398,6 +410,14 @@ class TestMonteCarloCommand:
         code, _, _ = run_cli(capsys, "montecarlo", "--trials", "100", "--inequality", "both")
         assert code == 0
         assert len(built) == 100
+
+    def test_one_estimate_pass_per_block(self, capsys, monkeypatch):
+        # 2000 trials in blocks of 128 for both inequalities: 16 blocks x 2 passes, plus the 2 predicted violations
+        calls = []
+        estimates = significance.setting_estimates
+        monkeypatch.setattr(significance, "setting_estimates", lambda *a: calls.append(1) or estimates(*a))
+        assert run_cli(capsys, "montecarlo")[0] == 0
+        assert len(calls) == 34
 
 
 class TestCountRange:
@@ -460,6 +480,19 @@ class TestOverflowEdges:
         counts.write_text(json.dumps(table.to_json_dict()))
         assert run_cli(capsys, "report", "--counts", str(counts), "--inequality", str(ineq)) == (
             3, "", "error: setting 'XXYY' has no finite estimate: mean 8.1e+199, error inf\n")
+
+    def test_violation_past_the_float_range_is_data_error(self, tmp_path, capsys, rho_ghz4, mermin4):
+        # each setting's mean is 1e308; their sum is not, nor is the dense operator the file builds
+        data = inequality_to_json_dict(mermin4)
+        for entry in data["settings"]:
+            entry["coefficients"] = [c * 1e308 for c in entry["coefficients"]]
+        data["lhv_bound"] = 0.0
+        ineq, counts = tmp_path / "huge.json", tmp_path / "counts.json"
+        ineq.write_text(json.dumps(data))
+        table = predicted_counts(rho_ghz4, mermin4, ShotBudget.equal_split(8000, mermin4))
+        counts.write_text(json.dumps(table.to_json_dict()))
+        assert run_cli(capsys, "report", "--counts", str(counts), "--inequality", str(ineq)) == (
+            3, "", "error: inequality 'mermin4' has no finite violation and error: V inf, E 0.0\n")
 
     @pytest.mark.parametrize("option, value, a, b", [("--a", "1e-300", 1e-300, 1.9599999999999997e+298),
                                                      ("--b", "1e300", 0.23999999999999988, 1e300)])

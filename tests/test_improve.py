@@ -202,6 +202,12 @@ class TestExactImprovement:
         with pytest.raises(ValueError, match="positivity"):
             exact_improvement(demo_state, witness4, a=0.2, b=0.5 * dev * dev / 0.2)
 
+    @pytest.mark.parametrize("a, b", [(1e-150, None), (None, 1e150)])
+    def test_parameters_lost_to_round_off_rejected(self, demo_state, witness4, a, b):
+        # exact arithmetic gives <W'> = <W> + a; here the computed value is about 1e132
+        with pytest.raises(ValueError, match="lose <W'> to round-off"):
+            exact_improvement(demo_state, witness4, a=a, b=b)
+
     def test_rank_deficient_boundary_still_psd(self, demo_state, witness4):
         dev = math.sqrt(variance(demo_state, witness4.matrix))
         a = 0.2

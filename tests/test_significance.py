@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -29,6 +30,8 @@ from entsig import (
     experimental_ansatz,
     AnsatzParams,
     ardehali,
+    inequality_from_json_dict,
+    inequality_to_json_dict,
     mermin,
 )
 import entsig.significance as significance
@@ -416,6 +419,16 @@ class TestEvaluate:
             assert bits(v[k]) == bits(left_to_right(means[k].tolist()) - bound)
             assert bits(e[k]) == bits(math.sqrt(left_to_right([x * x for x in errors[k].tolist()])))
 
+    def test_error_summed_past_the_float_range_is_named(self, mermin4):
+        # every setting's error is 6.4e153; their squares add past the float range
+        data = inequality_to_json_dict(mermin4)
+        for entry in data["settings"]:
+            entry["coefficients"] = [c * 9e153 for c in entry["coefficients"]]
+        ineq = inequality_from_json_dict(data)
+        table = CountTable(ineq.name, {s.label: [1, 1] + [0] * 14 for s in ineq.settings})
+        with pytest.raises(ValueError, match=re.escape("inequality 'mermin4' has no finite violation and error: V -4.0, E inf")):
+            evaluate(table, ineq)
+
 
 class TestVarianceModel:
     def test_eigenstate_gives_infinite_s(self, ghz4, witness4):
@@ -710,11 +723,12 @@ class TestMonteCarlo:
         (4, ardehali, 0.05, 137),
         (6, mermin, 0.05, 100),
     ])
-    def test_blocks_match_per_trial_evaluate(self, n, factory, p, trials):
-        # 137 trials leave a partial last block of 32 (Mermin) and 16
-        # (Ardehali) trials; at 6 qubits a block holds 2 trials
+    def test_blocks_match_per_trial_evaluate(self, monkeypatch, n, factory, p, trials):
+        # a budget of 2**12 counts gives blocks of 32 (Mermin) and 16 (Ardehali)
+        # trials, the last of them partial at 137 trials; at 6 qubits a block holds 2
+        monkeypatch.setattr(significance, "_BLOCK_COUNTS", 2**12)
         ineq = factory(n)
-        assert 1 < _CHUNK_ENTRIES // (ineq.n_settings * 2**n) < trials
+        assert 1 < significance._BLOCK_COUNTS // (ineq.n_settings * 2**n) < trials
         noisy = apply_noise(DensityMatrix.from_pure(ghz_state(n)), "bitflip", p)
         budget = ShotBudget.equal_split(8000, ineq)
         seed = 11
@@ -739,6 +753,36 @@ class TestMonteCarlo:
         studies = [(q, ShotBudget.equal_split(8000, q)) for q in (mermin(n), ardehali(n))]
         joint = _monte_carlo_studies(noisy, studies, trials, seed)
         assert joint == [monte_carlo_study(noisy, q, b, trials, seed=seed) for q, b in studies]
+
+    @pytest.mark.parametrize("n, factories, trials, seed", [
+        pytest.param(4, (mermin, ardehali), 300, 0, id="pair4-seed0"),
+        pytest.param(4, (mermin, ardehali), 300, 104729, id="pair4-seed104729"),
+        pytest.param(6, (ardehali,), 101, 0, id="ardehali6"),  # 101: the least trials a study takes, plus one
+    ])
+    def test_block_budget_does_not_change_summaries(self, monkeypatch, n, factories, trials, seed):
+        # one trial per block, then the default 2**15 counts: every field bitwise equal
+        noisy = apply_noise(DensityMatrix.from_pure(ghz_state(n)), "bitflip", 0.05)
+        studies = [(f(n), ShotBudget.equal_split(8000, f(n))) for f in factories]
+        monkeypatch.setattr(significance, "_BLOCK_COUNTS", max(q.outcome_coeffs.size for q, _ in studies))
+        single = _monte_carlo_studies(noisy, studies, trials, seed)
+        monkeypatch.setattr(significance, "_BLOCK_COUNTS", 2**15)
+        blocked = _monte_carlo_studies(noisy, studies, trials, seed)
+        assert [bits(dataclasses.astuple(s)) for s in blocked] == [bits(dataclasses.astuple(s)) for s in single]
+
+    @pytest.mark.parametrize("n, factories, trials, block", [
+        pytest.param(4, (mermin, ardehali), 300, 128, id="pair4"),
+        pytest.param(4, (mermin,), 300, 256, id="mermin4"),
+        pytest.param(6, (mermin, ardehali), 100, 8, id="pair6"),
+    ])
+    def test_blocks_hold_at_most_the_count_budget(self, monkeypatch, n, factories, trials, block):
+        shapes = []
+        estimates = setting_estimates
+        monkeypatch.setattr(significance, "setting_estimates", lambda c, *a: shapes.append(c.shape) or estimates(c, *a))
+        noisy = apply_noise(DensityMatrix.from_pure(ghz_state(n)), "bitflip", 0.05)
+        _monte_carlo_studies(noisy, [(f(n), ShotBudget.equal_split(8000, f(n))) for f in factories], trials, 0)
+        stacks = [shape for shape in shapes if len(shape) == 3]
+        assert max(shape[0] for shape in stacks) == block
+        assert max(math.prod(shape) for shape in stacks) <= 2**15
 
     def test_too_large_mean_refused_before_the_predicted_violation(self, rho_ghz4, mermin4):
         budget = ShotBudget.equal_split(1e200, mermin4)
