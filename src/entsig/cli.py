@@ -5,7 +5,8 @@ to emit count-table files that ``report`` can read back.  All floating-point
 output uses 9 significant digits and runs are deterministic for a fixed
 configuration and seed.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 no crossing.
+Exit codes: 0 success, 1 output pipe closed by its reader, 2 configuration
+error, 3 data error, 4 no crossing.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
@@ -45,6 +47,7 @@ from .significance import (
 )
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NO_CROSSING = 4
@@ -375,7 +378,12 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader is gone: send what is left to devnull, as Python's signal docs advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except DataError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA

@@ -333,7 +333,7 @@ def _contraction_plan(settings) -> tuple[list, np.ndarray]:
     ``s.observables[:k + 1]`` (shared instances share nodes): the index of
     its parent node at level k - 1 and the four (node, outcome) tables
     T[i, j] = conj(u[i, :]) * u[j, :] of its qubit-k eigenbasis u, shaped
-    (g, 2, 1, 1, 1).  ``index[s, o]`` is the flat (last-level node, outcome)
+    (g, 2, 1, 1, 1, 1).  ``index[s, o]`` is the flat (last-level node, outcome)
     entry that holds setting s's outcome o; the kernel puts qubit k's outcome
     at bit k, so the index also reverses the outcome bits.
     """
@@ -343,7 +343,7 @@ def _contraction_plan(settings) -> tuple[list, np.ndarray]:
         for s in settings:
             nodes.setdefault(s.observables[:k + 1], len(nodes))
         u = np.array([prefix[-1].eigenbasis() for prefix in nodes])
-        t = [(u[:, i].conj() * u[:, j])[:, :, None, None, None] for i in (0, 1) for j in (0, 1)]
+        t = [(u[:, i].conj() * u[:, j])[:, :, None, None, None, None] for i in (0, 1) for j in (0, 1)]
         levels.append((np.array([parents[prefix[:-1]] for prefix in nodes]), *t))
     reverse = np.arange(2 ** len(levels)).reshape([2] * len(levels)).T.ravel()
     return levels, np.array([nodes[s.observables] for s in settings])[:, None] * reverse.size + reverse
@@ -354,31 +354,32 @@ def _probability_rows(rho, plan) -> np.ndarray:
     and every state of a (..., d, d) stack.
 
     A product setting's outcome distribution factorizes qubit by qubit, so rho
-    is contracted with one 2x2 eigenbasis at a time.  Per level, one transpose
-    and one ``np.take`` copy the parents' (prefix, 2h, 2h) blocks, split by
-    qubit k's row and column bit, into contiguous (node, prefix, h, h) blocks
-    v[i, j]; then t00*v00 + t01*v01 + t10*v10 + t11*v11 scales whole blocks by
-    one (node, outcome) entry each, the new outcome bit going in front of the
-    prefix.  Only separately rounded elementwise products and sums are used,
-    so outcomes that rho cannot produce come out exactly 0.0 (the zero-error
-    rule and Poisson sampling depend on it), and each state's rows are the
-    same bits whether it is contracted alone or in a stack.  The rows come
-    back C-contiguous: ``setting_estimates`` rounds by memory layout.
+    is contracted with one 2x2 eigenbasis at a time, the G states innermost:
+    (d, d, G).  Per level, one transpose and one ``np.take`` copy the parents'
+    (prefix, 2h, 2h, G) blocks, split by qubit k's row and column bit, into
+    (node, prefix, h, h, G) blocks v[i, j]; t00*v00 + t01*v01 + t10*v10 +
+    t11*v11 scales whole blocks by one (node, outcome) entry each, the new
+    outcome bit going in front of the prefix.  Only separately rounded
+    elementwise products and sums are used, so outcomes that rho cannot
+    produce come out exactly 0.0 (the zero-error rule and Poisson sampling
+    depend on it), and a state's rows are the same bits alone or in a stack.
+    They come back as one C-contiguous (G, S, d) copy: ``setting_estimates``
+    rounds by memory layout.
     """
     levels, index = plan
     m = _state_matrix(rho)
     lead, d = m.shape[:-2], 2 ** len(levels)
     if m.shape[-2:] != (d, d):
         raise ValueError("state and setting dimensions differ")
-    r = m.reshape(-1, 1, 1, d, d)
+    r = m.reshape(-1, d * d).T.reshape(1, 1, d, d, -1).copy()
     for parents, t00, t01, t10, t11 in levels:
-        n_prefix, h = r.shape[2], r.shape[3] // 2
-        v = np.take(r.reshape(len(r), -1, n_prefix, 2, h, 2, h).transpose(3, 5, 0, 1, 2, 4, 6), parents, axis=3)
-        r = t00 * v[0, 0, :, :, None]
+        n_prefix, h = r.shape[1], r.shape[2] // 2
+        v = np.take(r.reshape(-1, n_prefix, 2, h, 2, h, r.shape[-1]).transpose(2, 4, 0, 1, 3, 5, 6), parents, axis=2)
+        r = t00 * v[0, 0, :, None]
         for t, vij in ((t01, v[0, 1]), (t10, v[1, 0]), (t11, v[1, 1])):
-            r += t * vij[:, :, None]
-        r = r.reshape(len(r), len(parents), 2 * n_prefix, h, h)
-    p = r.real.reshape(len(r), -1).take(index, axis=1).reshape(*lead, *index.shape)
+            r += t * vij[:, None]
+        r = r.reshape(len(parents), 2 * n_prefix, h, h, r.shape[-1])
+    p = r.real.reshape(-1, r.shape[-1]).T.take(index, axis=1).reshape(*lead, *index.shape)
     lowest = float(p.min())
     if lowest < -DEFAULT.prob_floor:
         raise ValueError(f"negative outcome probability {lowest:.3e}")

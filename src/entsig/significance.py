@@ -28,8 +28,11 @@ _NOISE = {"bitflip": ("flip probability", _bit_flip_all), "white": ("white-noise
 NOISE_FAMILIES = tuple(_NOISE)
 # noise-parameter range of the default sweep grid and crossing search
 DEFAULT_SPAN = {"bitflip": (0.0, 0.25), "white": (0.0, 0.9)}
-# entries per sweep chunk of (G, d, d) states: 16 points at 4 qubits, 1 at 6
-_CHUNK_ENTRIES = 2**12
+# state entries per chunk of (G, d, d) states: a sweep evaluates every point, so its
+# chunks are big and few (64 points at 4 qubits, 4 at 6); a crossing's coarse scan stops
+# at its first sign change, so its chunks stay small (16 points and 1) to evaluate few past it
+_SWEEP_ENTRIES = 2**14
+_SCAN_ENTRIES = 2**12
 # count entries of a call's largest table per Monte Carlo block: 128 trials for the
 # 4-qubit pair, 256 for Mermin alone, 8 at 6 qubits; 0.4 MB of float64 counts at 4 qubits
 _BLOCK_COUNTS = 2**15
@@ -316,7 +319,8 @@ def variance_model_significance(state, test, copies: float | None = None) -> Sig
 
     ``test`` is a Witness (V = -<W>) or a BellInequality (V = <B> - C_lhv).
     By default E is the single-copy standard deviation, taken as 0.0 when at
-    most ``zero_error`` (round-off); pass ``copies`` to scale it by 1/sqrt(copies).
+    most ``zero_error`` times max(1, max|T|), the round-off of an exact
+    eigenstate; pass ``copies`` to scale it by 1/sqrt(copies).
     """
     if isinstance(test, Witness):
         op, v_sign, offset, name = test.matrix, -1.0, 0.0, test.name
@@ -326,7 +330,7 @@ def variance_model_significance(state, test, copies: float | None = None) -> Sig
         raise ValueError("test must be a Witness or a BellInequality")
     v = v_sign * expectation(state, op) - offset
     e = math.sqrt(variance(state, op))
-    e = e if e > DEFAULT.zero_error else 0.0
+    e = e if e > DEFAULT.zero_error * max(1.0, float(np.max(np.abs(op)))) else 0.0
     if copies is not None:
         if copies <= 0:
             raise ValueError("copies must be positive")
@@ -414,10 +418,10 @@ class SweepTable:
 def _sweep_evaluator(ineqs, noise: str, grid, initial_state, total_copies: float):
     """Check a sweep's arguments and build what its chunks share: one plan, and
     the (S, 1) copies and (S, 2**n) coefficients of all S settings with each
-    inequality's offsets.  Returns ``(ineqs, grid, step, chunk)``: ``chunk(ps)``
-    runs at most ``step`` noise strengths as one validated (G, d, d) state
-    stack, one kernel call and one estimate pass, then one ``_combine`` per
-    inequality, giving (G,) fidelities and an (n_ineqs, 3, G) V, E, S table."""
+    inequality's offsets.  Returns ``(ineqs, grid, chunk)``: ``chunk(ps)`` runs
+    the noise strengths ``ps`` as one validated (G, d, d) state stack, one
+    kernel call and one estimate pass, then one ``_combine`` per inequality,
+    giving (G,) fidelities and an (n_ineqs, 3, G) V, E, S table."""
     ineqs = list(ineqs)
     if not ineqs:
         raise ValueError("need at least one inequality")
@@ -433,7 +437,6 @@ def _sweep_evaluator(ineqs, noise: str, grid, initial_state, total_copies: float
         raise ValueError("noise grid values must lie in [0, 1]")
     state0 = _as_initial_state(initial_state, n)
     reference = ghz_state(n)
-    step = max(1, _CHUNK_ENTRIES // state0.matrix.size)
     plan = _contraction_plan([s for q in ineqs for s in q.settings])
     copies = np.array([[c] for q in ineqs for c in ShotBudget.equal_split(total_copies, q).allocation.values()])
     coeffs = np.concatenate([q.outcome_coeffs for q in ineqs])
@@ -447,7 +450,7 @@ def _sweep_evaluator(ineqs, noise: str, grid, initial_state, total_copies: float
         ves = [_combine(means[:, a:b], errors[:, a:b], q.lhv_bound) for q, a, b in zip(ineqs, offsets, offsets[1:])]
         return np.array(fid), np.array([(v, e, _significance_of(v, e)[0]) for v, e in ves])
 
-    return ineqs, grid, step, chunk
+    return ineqs, grid, chunk
 
 
 def significance_sweep(
@@ -458,9 +461,10 @@ def significance_sweep(
     total_copies: float = 8000.0,
 ) -> SweepTable:
     """Evaluate predicted-count significance for each inequality along a noise
-    grid, tracking the GHZ fidelity of the noisy state, one evaluator chunk of
-    grid points (one state stack, one kernel call, one estimate pass) at a time."""
-    ineqs, grid, step, chunk = _sweep_evaluator(ineqs, noise, grid, initial_state, total_copies)
+    grid, tracking the GHZ fidelity of the noisy state, one evaluator chunk of at
+    most ``_SWEEP_ENTRIES`` state entries (one kernel call) at a time."""
+    ineqs, grid, chunk = _sweep_evaluator(ineqs, noise, grid, initial_state, total_copies)
+    step = max(1, _SWEEP_ENTRIES // 4 ** ineqs[0].n_qubits)
     chunks = [chunk(grid[i:i + step].tolist()) for i in range(0, grid.size, step)]
     fid, table = (np.concatenate(x, axis=-1) for x in zip(*chunks))
     return SweepTable(
@@ -490,11 +494,11 @@ def crossing_point(
 ) -> CrossingResult:
     """Locate where the two inequalities swap significance order.
 
-    Scans a coarse grid, one sweep chunk at a time, up to the chunk that
-    completes the first sign change of S_first - S_second (infinities compare
-    as larger than any finite value; ties are skipped); later grid points are
-    never evaluated.  Then bisects the bracket down to the configured
-    noise-parameter resolution.  The sweep set-up is built once per search.
+    Scans a coarse grid in chunks of ``_SCAN_ENTRIES`` state entries, up to
+    the one that completes the first sign change of S_first - S_second
+    (infinities compare as larger than any finite value; ties are skipped);
+    later points are never evaluated.  Then bisects the bracket down to the
+    configured noise-parameter resolution; the set-up is built once per search.
     ``span`` defaults to the family's ``DEFAULT_SPAN``.
     """
     if noise not in DEFAULT_SPAN:
@@ -508,7 +512,8 @@ def crossing_point(
     lo, hi = span
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"invalid search span {span!r}")
-    _, grid, step, chunk = _sweep_evaluator((first, second), noise, np.linspace(lo, hi, coarse), state0, total_copies)
+    _, grid, chunk = _sweep_evaluator((first, second), noise, np.linspace(lo, hi, coarse), state0, total_copies)
+    step = max(1, _SCAN_ENTRIES // 4**n)
 
     def signs_at(ps) -> np.ndarray:
         s0, s1 = chunk(ps)[1][:, 2]

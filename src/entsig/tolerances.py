@@ -23,10 +23,9 @@ class Tolerances:
     prob_floor: float = 1e-12       # probabilities >= -prob_floor clamp to 0
     prob_sum: float = 1e-10         # |sum p - 1|
     variance_floor: float = 1e-12   # variances >= -variance_floor clamp to 0
-    eig_residual: float = 1e-9      # ||M v - lam v|| per unit matrix norm
     diagonal_term: float = 1e-10    # off-diagonal residue allowed for setting terms
     coeff_spread: float = 1e-12     # supported coefficients within this act as one value
-    zero_error: float = 1e-12       # variance-model single-copy deviations up to this count as zero
+    zero_error: float = 1e-12       # variance-model deviations up to this * max(1, max|T|) count as zero
     zero_expectation: float = 1e-12 # |<W>| below this is degenerate for Q
     min_deviation: float = 1e-10    # smallest usable Delta_psi(W)
     bisection: float = 1e-6         # noise-parameter resolution of crossing search

@@ -2,7 +2,10 @@ import argparse
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -19,6 +22,7 @@ from entsig import (
     inequality_to_json_dict,
     predicted_counts,
 )
+import entsig
 import entsig.significance as significance
 from entsig.cli import build_parser, main
 
@@ -377,6 +381,29 @@ class TestImproveCommand:
         code, _, err = run_cli(capsys, "improve", "--a", "0.9")
         assert code == 2
         assert "detected" in err
+
+    @pytest.mark.parametrize("option, value", [("--b", "1e5"), ("--a", "1e-8")])
+    def test_exact_eigenstate_at_large_parameters(self, capsys, option, value):
+        # W' has entries of size max(a, b), so the deviation of its exact
+        # eigenstate is round-off of that size; it used to print
+        # S after = 1.13742462e+10 and 858993424
+        code, out, err = run_cli(capsys, "improve", option, value)
+        assert (code, err) == (0, "")
+        assert out.startswith("S before = 3.42857143  S after = inf\n")
+        assert json.loads(out.split("\n", 1)[1])["significance_after"] == "inf"
+
+
+def test_closed_pipe_exits_one_quietly():
+    # the reader of stdout is gone before the command writes: exit 1, no traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(entsig.__file__).parents[1]))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "entsig.cli", "improve", "--b", "1e5"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 class TestMonteCarloCommand:

@@ -208,6 +208,16 @@ class TestExactImprovement:
         with pytest.raises(ValueError, match="lose <W'> to round-off"):
             exact_improvement(demo_state, witness4, a=a, b=b)
 
+    @pytest.mark.parametrize("a, b", [(None, 1e5), (1e-8, None)])
+    def test_exact_eigenstate_infinite_at_large_parameters(self, demo_state, witness4, a, b):
+        # W' has entries of size max(a, b); its exact eigenstate's computed
+        # deviation is round-off above the absolute zero_error but within
+        # zero_error * max|W'|, the scale the zero rule now uses
+        result = exact_improvement(demo_state, witness4, a=a, b=b)
+        scale = np.max(np.abs(result.improved_witness.matrix))
+        assert DEFAULT.zero_error < result.deviation_after <= DEFAULT.zero_error * scale
+        assert result.significance_after.infinite and result.significance_after.error == 0.0
+
     def test_rank_deficient_boundary_still_psd(self, demo_state, witness4):
         dev = math.sqrt(variance(demo_state, witness4.matrix))
         a = 0.2

@@ -386,6 +386,12 @@ class TestStackedProbabilities:
             assert got.tobytes() == _probability_rows(rho, plan).tobytes()
         grid = _probability_rows(stack.reshape(2, 2, 2**n, 2**n), plan)
         assert grid.tobytes() == rows.tobytes() and grid.shape == (2, 2) + rows.shape[1:]
+        # 65 states: more than a full 64-point sweep chunk at 4 qubits
+        big = np.array([apply_noise(ghz, "bitflip", p).matrix for p in np.linspace(0.0, 0.25, 61)] + list(stack))
+        rows = _probability_rows(big, plan)
+        assert rows.shape == (65, len(plan[1]), 2**n)
+        for m, got in zip(big, rows):
+            assert got.tobytes() == _probability_rows(m, plan).tobytes()
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_rows_are_c_contiguous(self, n, rng):

@@ -36,7 +36,7 @@ from entsig import (
 )
 import entsig.significance as significance
 from entsig.significance import (
-    _CHUNK_ENTRIES, _POISSON_LAM_MAX, NOISE_FAMILIES, _combine, _monte_carlo_studies, setting_estimates,
+    _POISSON_LAM_MAX, _SWEEP_ENTRIES, NOISE_FAMILIES, _combine, _monte_carlo_studies, setting_estimates,
 )
 from conftest import lab_noise_row, random_density
 
@@ -544,12 +544,14 @@ class TestSweep:
         (4, "bitflip", np.linspace(0.0, 0.25, 37), None),
         (4, "white", np.linspace(0.0, 0.9, 37), "ansatz"),
         (6, "bitflip", [0.0, 0.1, 0.25], None),
+        (4, "bitflip", np.linspace(0.0, 0.25, 101), None),
     ])
     def test_chunks_match_one_point_sweeps(self, n, noise, grid, state):
-        # 37 points at 4 qubits end in a short chunk; a one-point sweep is a
-        # chunk of its own, as in the crossing bisection
+        # 37 points at 4 qubits are one short chunk, 101 a full 64-point chunk
+        # and a short one; a one-point sweep is a chunk of its own, as in the
+        # crossing bisection
         if n == 4:
-            assert len(grid) % (_CHUNK_ENTRIES // 4**n) != 0
+            assert len(grid) % (_SWEEP_ENTRIES // 4**n) != 0
         ineqs = (mermin(n), ardehali(n))
         state = experimental_ansatz(AnsatzParams()) if state else None
         table = significance_sweep(ineqs, noise, grid, initial_state=state)
@@ -559,6 +561,15 @@ class TestSweep:
             for q in ineqs:
                 for key in ("V", "E", "S"):
                     assert bits(table.values[q.tag][key][i]) == bits(one.values[q.tag][key][0])
+
+    @pytest.mark.parametrize("n, chunks", [(4, [64, 64, 64, 8]), (6, [4] * 50)])
+    def test_default_sweep_chunks(self, monkeypatch, n, chunks):
+        # a sweep chunk holds _SWEEP_ENTRIES state entries, unlike the
+        # crossing scan's smaller chunks (TestCrossing pins those)
+        built, noisy_stack = [], significance._noisy_stack
+        monkeypatch.setattr(significance, "_noisy_stack", lambda m, f, ps: built.append(len(ps)) or noisy_stack(m, f, ps))
+        significance_sweep((mermin(n), ardehali(n)), "bitflip", np.linspace(0.0, 0.25, 200))
+        assert built == chunks
 
 
 class TestCrossing:
