@@ -139,7 +139,8 @@ def experimental_ansatz(params: AnsatzParams) -> DensityMatrix:
     tr = params.trace_renormalization
     if tr <= 0:
         raise ValueError("ansatz parameters give non-positive trace")
-    m /= tr
+    with np.errstate(over="ignore", invalid="ignore"):  # an entry or 1/tr that overflows: the finite check refuses it
+        m /= tr
     require_hermitian(m, DEFAULT.hermitian, "ansatz state")
     min_eig = float(np.linalg.eigvalsh(m)[0])
     if min_eig < -DEFAULT.psd:

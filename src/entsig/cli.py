@@ -6,7 +6,7 @@ output uses 9 significant digits and runs are deterministic for a fixed
 configuration and seed.
 
 Exit codes: 0 success, 1 output pipe closed by its reader, 2 configuration
-error, 3 data error, 4 no crossing.
+error (every ValueError that is not a data error), 3 data error, 4 no crossing.
 """
 
 from __future__ import annotations
@@ -54,10 +54,6 @@ EXIT_NO_CROSSING = 4
 _NEGATIVE_FLOAT = re.compile(r"-(inf(inity)?|nan|(\d+\.?\d*|\.\d+)(e[-+]?\d+)?)", re.IGNORECASE)
 
 
-class ConfigError(ValueError):
-    pass
-
-
 class DataError(ValueError):
     pass
 
@@ -101,11 +97,11 @@ def _parse_grid(text: str) -> np.ndarray:
         lo_s, hi_s, k_s = text.split(":")
         lo, hi, k = float(lo_s), float(hi_s), int(k_s)
     except ValueError:
-        raise ConfigError(f"--grid must look like a:b:k, got {text!r}") from None
+        raise ValueError(f"--grid must look like a:b:k, got {text!r}") from None
     if not (0.0 <= lo < hi <= 1.0):
-        raise ConfigError(f"grid bounds must satisfy 0 <= a < b <= 1, got {text!r}")
+        raise ValueError(f"grid bounds must satisfy 0 <= a < b <= 1, got {text!r}")
     if k < 2:
-        raise ConfigError("grid needs at least 2 points")
+        raise ValueError("grid needs at least 2 points")
     return np.linspace(lo, hi, k)
 
 
@@ -116,19 +112,16 @@ def _parse_span(text: str | None):
         lo_s, hi_s = text.split(":")
         return float(lo_s), float(hi_s)
     except ValueError:
-        raise ConfigError(f"--span must look like a:b, got {text!r}") from None
+        raise ValueError(f"--span must look like a:b, got {text!r}") from None
 
 
 def _initial_state(args) -> tuple[DensityMatrix, dict]:
     if args.state == "ghz":
         return DensityMatrix.from_pure(ghz_state(args.qubits)), {"state": "ghz"}
-    params = AnsatzParams(args.alpha, args.beta, args.gamma, getattr(args, "lam"))
+    params = AnsatzParams(args.alpha, args.beta, args.gamma, args.lam)
     if args.qubits != 4:
-        raise ConfigError("--state ansatz is a 4-qubit model; use --qubits 4")
-    try:
-        state = experimental_ansatz(params)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ValueError("--state ansatz is a 4-qubit model; use --qubits 4")
+    state = experimental_ansatz(params)
     meta = {
         "state": "ansatz",
         "alpha": params.alpha,
@@ -240,18 +233,15 @@ def cmd_predict(args) -> int:
 
 def cmd_improve(args) -> int:
     if not math.isfinite(args.c0 * args.c0 + args.c1 * args.c1):  # NaN, Inf or a norm that overflows
-        raise ConfigError(f"--c0 and --c1 must be finite with a finite norm, got {args.c0!r} and {args.c1!r}")
+        raise ValueError(f"--c0 and --c1 must be finite with a finite norm, got {args.c0!r} and {args.c1!r}")
     amp = np.zeros(2**args.qubits, dtype=complex)
     amp[0], amp[-1] = args.c0, args.c1
     norm = float(np.linalg.norm(amp))
     if norm == 0:
-        raise ConfigError("state amplitudes are all zero")
+        raise ValueError("state amplitudes are all zero")
     psi = PureState(args.qubits, amp / norm)
     w = projector_witness(args.qubits)
-    try:
-        result = exact_improvement(psi, w, args.a, args.b)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    result = exact_improvement(psi, w, args.a, args.b)
     payload = {
         "witness": w.name,
         "state": {"c0": args.c0, "c1": args.c1, "normalization": norm},
@@ -271,7 +261,7 @@ def cmd_improve(args) -> int:
 
 def cmd_montecarlo(args) -> int:
     if args.trials < 100:
-        raise ConfigError("--trials must be at least 100")
+        raise ValueError("--trials must be at least 100")
     state, meta = _initial_state(args)
     noisy = apply_noise(state, args.noise, args.p)
     names = ("mermin", "ardehali") if args.inequality == "both" else (args.inequality,)
@@ -377,7 +367,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "seed", None) is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code

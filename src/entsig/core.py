@@ -46,12 +46,6 @@ def require_hermitian(m: np.ndarray, tol: float, what: str = "matrix") -> None:
         raise ValueError(f"{what} is not Hermitian (defect {defect.flat[bad[0]]:.3e} > {tol:.1e})")
 
 
-def _as_matrix(obs) -> np.ndarray:
-    """Accept a raw matrix or anything carrying one in a ``matrix`` attribute."""
-    m = getattr(obs, "matrix", obs)
-    return np.asarray(m, dtype=complex)
-
-
 @dataclass(eq=False)
 class SingleQubitObservable:
     """A dichotomic single-qubit observable (O Hermitian, O^2 = 1)."""
@@ -205,17 +199,16 @@ def ghz_state(n: int) -> PureState:
     return PureState(n, amp)
 
 
-def _state_matrix(state) -> np.ndarray:
-    if isinstance(state, DensityMatrix):
-        return state.matrix
-    if isinstance(state, PureState):
-        return state.projector()
-    return np.asarray(state, dtype=complex)
+def _matrix(x) -> np.ndarray:
+    """A ``PureState``'s projector, else a raw matrix or the one in a ``matrix`` attribute."""
+    if isinstance(x, PureState):
+        return x.projector()
+    return np.asarray(getattr(x, "matrix", x), dtype=complex)
 
 
 def expectation(state, obs) -> float:
     """tr(rho O) for a Hermitian observable; tiny imaginary residue is dropped."""
-    m = _as_matrix(obs)
+    m = _matrix(obs)
     scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
     require_hermitian(m, DEFAULT.op_hermitian * scale, "observable")
     if isinstance(state, PureState):
@@ -223,7 +216,7 @@ def expectation(state, obs) -> float:
             raise ValueError("state and observable dimensions differ")
         val = complex(np.vdot(state.amplitudes, m @ state.amplitudes))
     else:
-        rho = _state_matrix(state)
+        rho = _matrix(state)
         if m.shape != rho.shape:
             raise ValueError("state and observable dimensions differ")
         val = complex(np.trace(rho @ m))
@@ -240,7 +233,7 @@ def variance(state, obs) -> float:
     way down to exact eigenstates where the textbook difference of two large
     moments would cancel catastrophically.
     """
-    m = _as_matrix(obs)
+    m = _matrix(obs)
     mean = expectation(state, m)
     if isinstance(state, PureState):
         resid = m @ state.amplitudes - mean * state.amplitudes
@@ -254,7 +247,7 @@ def variance(state, obs) -> float:
 
 def fidelity_with_pure(rho, psi: PureState) -> float:
     """<psi| rho |psi>, clamped into [0, 1]; more than ``imag_discard`` outside it is an error."""
-    m = _state_matrix(rho)
+    m = _matrix(rho)
     if m.shape[0] != psi.dim:
         raise ValueError("state and reference dimensions differ")
     val = complex(np.vdot(psi.amplitudes, m @ psi.amplitudes))

@@ -19,7 +19,7 @@ from .core import (
     MAX_QUBITS,
     SingleQubitObservable,
     _freeze,
-    _state_matrix,
+    _matrix,
     expectation,
     ghz_state,
     kron_all,
@@ -30,6 +30,7 @@ from .tolerances import DEFAULT
 
 SQRT2 = math.sqrt(2.0)
 _BOUND_CACHE: dict[str, float] = {}  # inequality name -> brute-forced LHV bound
+_XY = str.maketrans("01", "XY")  # bit string -> X/Y labels, Y at each set bit, qubit 0 the most significant
 
 
 _STANDARD = {label: pauli(label) for label in ("I", "X", "Y", "Z")}
@@ -172,12 +173,6 @@ def _even_y_coefficient(y_count: int) -> float:
     return float((-1) ** (y_count // 2))
 
 
-def _xy_labels(mask: int, m: int) -> str:
-    """X/Y string on m qubits with Y wherever ``mask`` has a set bit (qubit 0
-    is the most significant bit)."""
-    return "".join("Y" if (mask >> (m - 1 - k)) & 1 else "X" for k in range(m))
-
-
 def _parity_inequality(name: str, tag: str, n: int, terms, lhv_bound: float) -> BellInequality:
     """One setting per (labels, coefficient) term, each with outcome
     coefficients coefficient * parity; the bound is brute-forced for n != 4.
@@ -215,7 +210,7 @@ def mermin(n: int) -> BellInequality:
     for mask in range(2**n):
         y_count = bin(mask).count("1")
         if y_count % 2 == 0:
-            terms.append((_xy_labels(mask, n), _even_y_coefficient(y_count)))
+            terms.append((np.binary_repr(mask, n).translate(_XY), _even_y_coefficient(y_count)))
     return _parity_inequality(f"mermin{n}", "M", n, terms, 4.0)
 
 
@@ -227,7 +222,7 @@ def ardehali(n: int) -> BellInequality:
         raise ValueError(f"ardehali inequality implemented for n in (4, 6), got {n}")
     terms = []
     for mask in range(2 ** (n - 1)):
-        labels = _xy_labels(mask, n - 1)
+        labels = np.binary_repr(mask, n - 1).translate(_XY)
         y_count = bin(mask).count("1")
         c = _even_y_coefficient(y_count) / SQRT2  # odd #Y: (-1)**((y-1)//2) == (-1)**(y//2)
         terms += [(labels + "A", -c if y_count % 2 else c), (labels + "B", c)]
@@ -367,7 +362,7 @@ def _probability_rows(rho, plan) -> np.ndarray:
     rounds by memory layout.
     """
     levels, index = plan
-    m = _state_matrix(rho)
+    m = _matrix(rho)
     lead, d = m.shape[:-2], 2 ** len(levels)
     if m.shape[-2:] != (d, d):
         raise ValueError("state and setting dimensions differ")
@@ -409,7 +404,7 @@ def ghz_fidelity_formula(rho) -> float:
     1/2 (P_0000 + P_1111) + B_M/16 equals the GHZ projector exactly, so this
     reproduces <GHZ|rho|GHZ> without tomography.
     """
-    m = _state_matrix(rho)
+    m = _matrix(rho)
     if m.shape != (16, 16):
         raise ValueError("fidelity formula applies to 4-qubit states")
     populations = 0.5 * float(m[0, 0].real + m[15, 15].real)
@@ -455,8 +450,6 @@ def inequality_from_json_dict(data: dict) -> BellInequality:
             raise ValueError(f"setting label {label!r} does not match {n} qubits")
         if coeffs.shape != (d,):
             raise ValueError(f"setting {label!r} needs {d} coefficients")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("outcome coefficients must be finite")
         settings.append(MeasurementSetting(tuple(standard_observable(ch) for ch in label)))
         rows.append(coeffs)
     op = np.zeros((d, d), dtype=complex)

@@ -220,6 +220,14 @@ class TestExperimentalAnsatz:
         with pytest.raises(ValueError, match=f"ansatz parameters must be finite, got alpha=.*{value!r}"):
             experimental_ansatz(params)
 
+    @pytest.mark.parametrize("params", [AnsatzParams(1e-300, 0.0, 1e10, 0.0),  # gamma / 1e-300 overflows
+                                        AnsatzParams(0.0, 0.0, 0.0, 1e-320)])  # I/16 in exact arithmetic; 1/tr overflows
+    def test_overflowing_renormalization_is_one_error(self, params):
+        # finite parameters whose renormalized state is not finite: the finite check
+        # refuses it, with no RuntimeWarning from the division first
+        with pytest.raises(ValueError, match="ansatz state contains NaN or Inf entries"):
+            experimental_ansatz(params)
+
     def test_reference_state_matches_measured_fidelity(self, ghz4):
         # the model reproduces the reference no-noise fidelity 0.84 +- 0.01
         state = experimental_ansatz(AnsatzParams())

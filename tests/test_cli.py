@@ -588,16 +588,31 @@ FLOAT_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 1e
                                 5e-324, -5e-324, 1e-310, -0.0]) | st.floats(-2.0, 2.0) | st.floats(2.0, 1e5)
 
 
+def _float_inputs(command):
+    """1-4 distinct float options of ``command``, each with a value and a spelling (joined or not)."""
+    options = st.sampled_from([o for c, o in FLOAT_OPTIONS if c == command])
+    inputs = st.lists(st.tuples(options, FLOAT_VALUES, st.booleans()), min_size=1, max_size=4, unique_by=lambda t: t[0])
+    return st.tuples(st.just(command), inputs)
+
+
 class TestFloatInputs:
-    # any float in either spelling of any float option is read or refused:
-    # exit 0 in silence, or 2, 3 or 4 with one line; no traceback, no RuntimeWarning
+    # any floats in either spelling of up to four float options of one command
+    # are read or refused: exit 0 in silence, or 2, 3 or 4 with one line; no
+    # traceback, no RuntimeWarning (the ansatz examples need four at once)
     @settings(max_examples=80, deadline=None)
-    @given(case=st.sampled_from(FLOAT_OPTIONS), value=FLOAT_VALUES, joined=st.booleans())
-    @example(case=("improve", "--a"), value=1e-300, joined=False)  # an improved witness that overflows
-    @example(case=("improve", "--b"), value=1e300, joined=True)
-    def test_every_float_input_is_read_or_refused(self, case, value, joined):
-        command, option = case
-        argv = [command, *CHEAP_ARGS[command], *([f"{option}={value!r}"] if joined else [option, repr(value)])]
+    @given(case=st.sampled_from(sorted(CHEAP_ARGS)).flatmap(_float_inputs))
+    @example(case=("improve", [("--a", 1e-300, False)]))  # an improved witness that overflows
+    @example(case=("improve", [("--b", 1e300, True)]))
+    # an ansatz whose renormalization overflows: gamma / 1e-300, and 1/tr for an I/16 of trace 1e-320
+    @example(case=("sweep", [("--alpha", 1e-300, False), ("--beta", 0.0, False), ("--lambda", 0.0, False),
+                             ("--gamma", 1e10, False)]))
+    @example(case=("sweep", [("--alpha", 0.0, False), ("--beta", 0.0, False), ("--gamma", 0.0, False),
+                             ("--lambda", 1e-320, False)]))
+    def test_every_float_input_is_read_or_refused(self, case):
+        command, inputs = case
+        argv = [command, *CHEAP_ARGS[command]]
+        for option, value, joined in inputs:
+            argv += [f"{option}={value!r}"] if joined else [option, repr(value)]
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, redirect_stdout(io.StringIO()), redirect_stderr(err):
             warnings.simplefilter("always")

@@ -612,10 +612,19 @@ class TestSerialization:
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf])
     def test_infinite_coefficient_rejected_before_the_operator(self, mermin4, bad):
-        # the operator's eigenbasis products would warn on inf * 0 first
+        # BellInequality checks finiteness after the operator is built, whose
+        # eigenbasis products meet inf * 0: they must not warn
         data = inequality_to_json_dict(mermin4)
         data["settings"][3]["coefficients"][5] = bad
         with pytest.raises(ValueError, match="outcome coefficients must be finite"):
+            inequality_from_json_dict(data)
+
+    def test_later_malformed_setting_is_named_before_a_non_finite_coefficient(self, mermin4):
+        # every setting is read before BellInequality checks the coefficients' finiteness
+        data = inequality_to_json_dict(mermin4)
+        data["settings"][1]["coefficients"][3] = math.inf
+        data["settings"][4]["coefficients"] = [1.0, 2.0]
+        with pytest.raises(ValueError, match="setting 'YXXY' needs 16 coefficients"):
             inequality_from_json_dict(data)
 
     @pytest.mark.parametrize("count", [4.7, 3.999, math.inf, math.nan])
