@@ -51,7 +51,7 @@ EXIT_PIPE = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NO_CROSSING = 4
-_NEGATIVE_FLOAT = re.compile(r"-(inf(inity)?|nan|(\d+\.?\d*|\.\d+)(e[-+]?\d+)?)", re.IGNORECASE)
+_NEGATIVE_FLOAT = re.compile(r"-(inf(inity)?|nan|(\d+\.?\d*|\.\d+)(e[-+]?\d+)?)$", re.IGNORECASE)
 
 
 class DataError(ValueError):
@@ -169,20 +169,18 @@ def _report_csv(report: SignificanceReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> str:
     grid = _parse_grid(args.grid) if args.grid else np.linspace(*DEFAULT_SPAN[args.noise], 200)
     state, meta = _initial_state(args)
     ineqs = (mermin(args.qubits), ardehali(args.qubits))
     table = significance_sweep(ineqs, args.noise, grid, initial_state=state, total_copies=args.shots)
     table.metadata.update(meta)
     if args.format == "csv":
-        _write_output(table.to_csv_text(), args.out)
-    else:
-        _write_output(_dump_json(table.to_json_dict()), args.out)
-    return EXIT_OK
+        return table.to_csv_text()
+    return _dump_json(table.to_json_dict())
 
 
-def cmd_crossing(args) -> int:
+def cmd_crossing(args) -> str:
     state, meta = _initial_state(args)
     result = crossing_point(
         args.noise,
@@ -200,11 +198,10 @@ def cmd_crossing(args) -> int:
     }
     payload.update(meta)
     sys.stdout.write(f"p_star = {_fmt(result.p_star)}  F_star = {_fmt(result.fidelity_star)}\n")
-    _write_output(_dump_json(payload), args.out)
-    return EXIT_OK
+    return _dump_json(payload)
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> str:
     counts = _read_json(args.counts, "", "count", CountTable.from_json_dict)
     ineq = _inequality(args.inequality, args.qubits)
     try:
@@ -212,13 +209,11 @@ def cmd_report(args) -> int:
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     if args.format == "csv":
-        _write_output(_report_csv(report), args.out)
-    else:
-        _write_output(_dump_json(report.to_json_dict()), args.out)
-    return EXIT_OK
+        return _report_csv(report)
+    return _dump_json(report.to_json_dict())
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args) -> str:
     state, meta = _initial_state(args)
     ineq = _inequality(args.inequality, args.qubits)
     state = apply_noise(state, args.noise, args.p)
@@ -227,11 +222,10 @@ def cmd_predict(args) -> int:
         table = predicted_counts(state, ineq, budget)
     else:
         table = sample_counts(state, ineq, budget, args.seed)
-    _write_output(_dump_json(table.to_json_dict()), args.out)
-    return EXIT_OK
+    return _dump_json(table.to_json_dict())
 
 
-def cmd_improve(args) -> int:
+def cmd_improve(args) -> str:
     if not math.isfinite(args.c0 * args.c0 + args.c1 * args.c1):  # NaN, Inf or a norm that overflows
         raise ValueError(f"--c0 and --c1 must be finite with a finite norm, got {args.c0!r} and {args.c1!r}")
     amp = np.zeros(2**args.qubits, dtype=complex)
@@ -255,11 +249,10 @@ def cmd_improve(args) -> int:
     s_before = result.significance_before.significance
     s_after = result.significance_after.significance
     sys.stdout.write(f"S before = {_fmt(s_before)}  S after = {_fmt(s_after)}\n")
-    _write_output(_dump_json(payload), args.out)
-    return EXIT_OK
+    return _dump_json(payload)
 
 
-def cmd_montecarlo(args) -> int:
+def cmd_montecarlo(args) -> str:
     if args.trials < 100:
         raise ValueError("--trials must be at least 100")
     state, meta = _initial_state(args)
@@ -272,8 +265,7 @@ def cmd_montecarlo(args) -> int:
     studies = [(q, ShotBudget.equal_split(args.shots, q)) for q in ineqs]
     for name, summary in zip(names, _monte_carlo_studies(noisy, studies, args.trials, args.seed)):
         payload[name] = summary.to_json_dict()
-    _write_output(_dump_json(payload), args.out)
-    return EXIT_OK
+    return _dump_json(payload)
 
 
 def _add_state_args(p: argparse.ArgumentParser) -> None:
@@ -288,6 +280,8 @@ def _add_state_args(p: argparse.ArgumentParser) -> None:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--qubits", type=int, choices=(4, 6), default=4)
     p.add_argument("--out", default=None)
+    # argparse reads a separate '-1' or '-.5' as a value, not as an option; so too '-1e-3', '-inf' and '-nan'
+    p._negative_number_matcher = _NEGATIVE_FLOAT
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,25 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse reads a separate '-1e-3' or '-inf' as an option; after a float option it is joined as '--opt=-1e-3'
-    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = commands[argv[0]]._actions if argv and argv[0] in commands else ()
-    options = [s for a in actions for s in a.option_strings]
-    floats = {s for a in actions if a.type is float for s in a.option_strings}
-    for i in range(len(argv) - 1, 0, -1):  # from the right, so a join moves no token still to be read
-        # a token names an option in full or, as argparse's allow_abbrev reads it, as a prefix of no other option
-        named = [s for s in options if s == argv[i - 1]] or [s for s in options if s.startswith(argv[i - 1])]
-        if len(named) == 1 and named[0] in floats and _NEGATIVE_FLOAT.fullmatch(argv[i]):
-            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
-        code = args.func(args)
+        _write_output(args.func(args), args.out)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
-        return code
+        return EXIT_OK
     except BrokenPipeError:  # the reader is gone: send what is left to devnull, as Python's signal docs advise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE

@@ -100,6 +100,8 @@ class CountTable:
             if self.mode == "sampled":
                 if not np.all(arr == np.round(arr)):
                     raise ValueError(f"sampled counts must be integers in setting {label!r}")
+                if np.any(arr >= 2.0**63):  # past int64, where the cast below would wrap
+                    raise ValueError(f"sampled counts must be below 2**63 in setting {label!r}")
                 arr = arr.astype(np.int64)
             else:
                 arr = arr.copy()
@@ -114,7 +116,7 @@ class CountTable:
             raise ValueError(f"count table has no setting {label!r}") from None
 
     def total(self) -> float:
-        return float(sum(v.sum() for v in self.counts.values()))
+        return float(sum(v.sum(dtype=float) for v in self.counts.values()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -131,7 +133,7 @@ class CountTable:
         try:
             name = str(data["inequality"])
             pairs = [(str(e["label"]), np.asarray(e["counts"], dtype=float)) for e in data["settings"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed count table: {exc}") from exc
         entries = {}
         for label, vec in pairs:

@@ -483,6 +483,29 @@ class TestCountRange:
         assert code == 3
         assert err.startswith("error: setting total 1.249") and err.count("\n") == 1
 
+    # JSON integers have no bound; a count past the float range, or a sampled
+    # count past int64, is refused by name, and int64 counts total in floats
+    @pytest.mark.parametrize("count, message", [
+        (10**400, "malformed count table: int too large to convert to float"),
+        (10**19, "sampled counts must be below 2**63 in setting 'XXXX'"),
+    ], ids=["past_float", "past_int64"])
+    def test_count_past_a_number_range_is_data_error(self, tmp_path, capsys, mermin4, count, message):
+        data = {"inequality": mermin4.name, "mode": "sampled",
+                "settings": [{"label": s.label, "counts": [100] * 16} for s in mermin4.settings]}
+        data["settings"][0]["counts"][0] = count
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(data))
+        assert run_cli(capsys, "report", "--counts", str(path)) == (3, "", f"error: {message}\n")
+
+    def test_total_past_int64_is_exact(self, tmp_path, capsys, mermin4):
+        data = {"inequality": mermin4.name, "mode": "sampled",
+                "settings": [{"label": s.label, "counts": [4 * 10**18] * 16} for s in mermin4.settings]}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "report", "--counts", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["metadata"]["total_counts"] == 8 * 16 * 4e18
+
 
 class TestOverflowEdges:
     def test_tiny_error_prints_finite_significance(self, capsys):
@@ -538,8 +561,8 @@ CHEAP_ARGS = {"sweep": ["--state", "ansatz", "--grid", "0:0.1:2"], "crossing": [
 
 
 class TestNegativeFloatValues:
-    # argparse reads a separate '-inf' or '-1e-3' as an option name; as the
-    # value of a float option it must read as '--opt=-inf' does
+    # a separate '-inf' or '-1e-3' is a value, as argparse reads '-1' and
+    # '-.5'; after a float option it reads as '--opt=-inf' does
     def test_every_float_option_is_covered(self):
         assert {o for _, o in FLOAT_OPTIONS} == {"--shots", "--alpha", "--beta", "--gamma", "--lambda",
                                                  "--p", "--c0", "--c1", "--a", "--b"}
@@ -576,12 +599,14 @@ class TestNegativeFloatValues:
         assert exc.value.code == 2
         assert "ambiguous option: --s could match --shots, --state" in capsys.readouterr().err
 
-    def test_int_option_is_not_joined(self):
-        # only float options take a separate negative float; --seed stays as argparse reads it
+    def test_any_option_takes_a_separate_negative_number(self, capsys):
+        # the value is read, and then refused by the option's own check
         for seed in ("--seed", "--see"):
             with pytest.raises(SystemExit) as exc:
                 main(["predict", seed, "-1e3"])
             assert exc.value.code == 2
+            assert "argument --seed: invalid int value: '-1e3'" in capsys.readouterr().err
+        assert run_cli(capsys, "sweep", "--grid", "-inf") == (2, "", "error: --grid must look like a:b:k, got '-inf'\n")
 
 
 FLOAT_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300,

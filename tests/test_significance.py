@@ -669,6 +669,25 @@ class TestCountTableIO:
         with pytest.raises(ValueError):
             CountTable("x", {"Z": [-1, 2]})
 
+    def test_count_past_the_float_range_is_malformed(self):
+        data = {"inequality": "x", "settings": [{"label": "Z", "counts": [10**400, 2]}]}
+        with pytest.raises(ValueError, match="malformed count table: int too large to convert to float"):
+            CountTable.from_json_dict(data)
+
+    @pytest.mark.parametrize("count", [2**63, 10**19])
+    def test_sampled_count_past_int64_is_refused(self, count):
+        # the int64 cast would wrap it to a negative count
+        with pytest.raises(ValueError, match=r"sampled counts must be below 2\*\*63 in setting 'Z'"):
+            CountTable("x", {"Z": [count, 2]})
+
+    def test_largest_float_below_2_63_is_kept(self):
+        count = 2**63 - 1024  # the largest float below 2**63
+        assert CountTable("x", {"Z": [count, 2]}).for_setting("Z")[0] == count
+
+    def test_total_sums_in_floats(self):
+        table = CountTable("x", {"Z": [4 * 10**18] * 3, "X": [2**62, 2**62]})
+        assert table.total() == 12e18 + 2.0**63
+
 
 class TestMonteCarlo:
     def test_zero_noise_mermin_is_deterministic(self, rho_ghz4, mermin4):
