@@ -13,6 +13,7 @@ infinite when the error is exactly zero while the violation is positive.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -29,8 +30,8 @@ NOISE_FAMILIES = tuple(_NOISE)
 # noise-parameter range of the default sweep grid and crossing search
 DEFAULT_SPAN = {"bitflip": (0.0, 0.25), "white": (0.0, 0.9)}
 # state entries per chunk of (G, d, d) states: a sweep evaluates every point, so its
-# chunks are big and few (64 points at 4 qubits, 4 at 6); a crossing's coarse scan stops
-# at its first sign change, so its chunks stay small (16 points and 1) to evaluate few past it
+# chunks are big and few (64 points at 4 qubits, 4 at 6); a crossing evaluates only its
+# model's nodes and the points the model cannot certify, in small chunks (16 points and 1)
 _SWEEP_ENTRIES = 2**14
 _SCAN_ENTRIES = 2**12
 # count entries of a call's largest table per Monte Carlo block: 128 trials for the
@@ -420,10 +421,11 @@ class SweepTable:
 def _sweep_evaluator(ineqs, noise: str, grid, initial_state, total_copies: float):
     """Check a sweep's arguments and build what its chunks share: one plan, and
     the (S, 1) copies and (S, 2**n) coefficients of all S settings with each
-    inequality's offsets.  Returns ``(ineqs, grid, chunk)``: ``chunk(ps)`` runs
-    the noise strengths ``ps`` as one validated (G, d, d) state stack, one
-    kernel call and one estimate pass, then one ``_combine`` per inequality,
-    giving (G,) fidelities and an (n_ineqs, 3, G) V, E, S table."""
+    inequality's offsets.  Returns ``(ineqs, grid, rows, table)``:
+    ``rows(ps)`` runs the noise strengths ``ps`` as one validated (G, d, d) state
+    stack and one kernel call, giving G fidelities and (G, S, 2**n) probability
+    rows; ``table(probs)`` runs one estimate pass, then one ``_combine`` per
+    inequality, giving an (n_ineqs, 3, G) V, E, S table."""
     ineqs = list(ineqs)
     if not ineqs:
         raise ValueError("need at least one inequality")
@@ -444,15 +446,17 @@ def _sweep_evaluator(ineqs, noise: str, grid, initial_state, total_copies: float
     coeffs = np.concatenate([q.outcome_coeffs for q in ineqs])
     offsets = np.cumsum([0] + [q.n_settings for q in ineqs])
 
-    def chunk(ps):
+    def rows(ps):
         noisy = _noisy_stack(state0.matrix, noise, ps)
         _validate_stack(noisy)
-        fid = [fidelity_with_pure(m, reference) for m in noisy]
-        means, errors, _ = setting_estimates(copies * _probability_rows(noisy, plan), coeffs)
-        ves = [_combine(means[:, a:b], errors[:, a:b], q.lhv_bound) for q, a, b in zip(ineqs, offsets, offsets[1:])]
-        return np.array(fid), np.array([(v, e, _significance_of(v, e)[0]) for v, e in ves])
+        return [fidelity_with_pure(m, reference) for m in noisy], _probability_rows(noisy, plan)
 
-    return ineqs, grid, chunk
+    def table(probs):
+        means, errors, _ = setting_estimates(copies * probs, coeffs)
+        ves = [_combine(means[:, a:b], errors[:, a:b], q.lhv_bound) for q, a, b in zip(ineqs, offsets, offsets[1:])]
+        return np.array([(v, e, _significance_of(v, e)[0]) for v, e in ves])
+
+    return ineqs, grid, rows, table
 
 
 def significance_sweep(
@@ -465,14 +469,14 @@ def significance_sweep(
     """Evaluate predicted-count significance for each inequality along a noise
     grid, tracking the GHZ fidelity of the noisy state, one evaluator chunk of at
     most ``_SWEEP_ENTRIES`` state entries (one kernel call) at a time."""
-    ineqs, grid, chunk = _sweep_evaluator(ineqs, noise, grid, initial_state, total_copies)
+    ineqs, grid, rows, table = _sweep_evaluator(ineqs, noise, grid, initial_state, total_copies)
     step = max(1, _SWEEP_ENTRIES // 4 ** ineqs[0].n_qubits)
-    chunks = [chunk(grid[i:i + step].tolist()) for i in range(0, grid.size, step)]
-    fid, table = (np.concatenate(x, axis=-1) for x in zip(*chunks))
+    chunks = [(fid, table(probs)) for fid, probs in (rows(grid[i:i + step].tolist()) for i in range(0, grid.size, step))]
+    fid, values = (np.concatenate(x, axis=-1) for x in zip(*chunks))
     return SweepTable(
         noise=noise, n_qubits=ineqs[0].n_qubits, total_copies=total_copies,
         tags=tuple(q.tag for q in ineqs), p=grid, fidelity=fid,
-        values={q.tag: dict(zip("VES", ves)) for q, ves in zip(ineqs, table)},
+        values={q.tag: dict(zip("VES", ves)) for q, ves in zip(ineqs, values)},
         metadata={"inequalities": [q.name for q in ineqs]},
     )
 
@@ -498,10 +502,15 @@ def crossing_point(
 
     Scans a coarse grid in chunks of ``_SCAN_ENTRIES`` state entries, up to
     the one that completes the first sign change of S_first - S_second
-    (infinities compare as larger than any finite value; ties are skipped);
-    later points are never evaluated.  Then bisects the bracket down to the
-    configured noise-parameter resolution; the set-up is built once per search.
-    ``span`` defaults to the family's ``DEFAULT_SPAN``.
+    (infinities compare as larger than any finite value; ties are skipped),
+    then bisects the bracket down to the configured noise-parameter
+    resolution; ``span`` defaults to the family's ``DEFAULT_SPAN``.  Outcome
+    probabilities are polynomials in the noise strength (degree n for bit-flip,
+    1 for white noise): exact rows at k = n + 1 (or 2) Chebyshev-Lobatto nodes,
+    interpolated in the first barycentric form, give a model S everywhere.  Its
+    sign is taken where |S_first - S_second| exceeds the sum of both S bounds
+    (README, "Crossing search", steps 1-4); other points, and all if the model
+    raises, are evaluated exactly, so p* is the exact search's to the bit.
     """
     if noise not in DEFAULT_SPAN:
         raise ValueError(f"unknown noise family {noise!r}; expected one of {NOISE_FAMILIES}")
@@ -514,11 +523,37 @@ def crossing_point(
     lo, hi = span
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"invalid search span {span!r}")
-    _, grid, chunk = _sweep_evaluator((first, second), noise, np.linspace(lo, hi, coarse), state0, total_copies)
-    step = max(1, _SCAN_ENTRIES // 4**n)
+    _, grid, rows, table = _sweep_evaluator((first, second), noise, np.linspace(lo, hi, coarse), state0, total_copies)
+    step, d, k = max(1, _SCAN_ENTRIES // 4**n), 2**n, n + 1 if noise == "bitflip" else 2
+    gamma = lambda m: m * np.finfo(float).eps / (2 - m * np.finfo(float).eps)  # Higham: m u / (1 - m u), u = eps / 2
+    nodes = np.minimum(lo + (hi - lo) * (0.5 - 0.5 * np.cos(np.pi * np.arange(k) / (k - 1))), hi)
+    node_rows, m0 = np.full((k, first.n_settings + second.n_settings, d), np.nan), state0.matrix
+    with np.errstate(all="ignore"):  # the model never warns: what it cannot bound is evaluated exactly
+        with contextlib.suppress(ValueError):  # refused nodes: NaN rows certify nothing
+            node_rows = np.concatenate([rows(nodes[i:i + step].tolist())[1] for i in range(0, k, step)])
+        eta = gamma(16 * n) * np.linalg.norm(m0) + 2 * (d + 1) * DEFAULT.psd_clamp + abs(np.trace(m0).real - 1)  # step 1
+        # per inequality: its settings S, sum of max|coeff| + |bound|, S * sum of max|coeff|**2
+        n_set, sum_l, sum_l2 = np.transpose([(q.n_settings, x.sum() + abs(q.lhv_bound), q.n_settings * (x * x).sum())
+                                             for q, x in ((q, np.abs(q.outcome_coeffs).max(axis=1)) for q in (first, second))])[:, :, None]
+    g, spread = 2 * gamma(2 * (d + int(n_set.max())) + 16), DEFAULT.coeff_spread
 
     def signs_at(ps) -> np.ndarray:
-        s0, s1 = chunk(ps)[1][:, 2]
+        ps, (s0, s1), exact = np.array(ps, dtype=float), np.zeros((2, len(ps))), np.ones(len(ps), dtype=bool)
+        with np.errstate(all="ignore"), contextlib.suppress(ValueError):  # estimates that refuse the model certify nothing
+            diff = ps[:, None] - nodes
+            hit = diff == 0.0
+            lag = np.where(hit, 1.0, diff.prod(axis=1, keepdims=True) / np.where(hit, 1.0, diff)
+                           / (nodes[:, None] - nodes + np.eye(k)).prod(axis=1))
+            leb, probs = np.abs(lag).sum(axis=1), np.maximum(np.tensordot(lag, node_rows, 1), 0.0)
+            d_delta = d * ((leb + 1) * eta + gamma(5 * k) * leb * node_rows.max())  # step 2
+            tau = np.minimum(probs.sum(axis=-1).min(axis=-1) - d_delta, 1.0)
+            big_d = (d_delta + g) / tau**2  # step 3
+            e, s = table(probs)[:, 1:].transpose(1, 0, 2)
+            de = (9 * big_d * sum_l2 + (n_set * spread) ** 2) / total_copies / e + g * e
+            err = (2 * big_d * sum_l + 2 * n_set * spread + np.abs(s) * de) / (e - de) + g * np.abs(s)
+            (s0, s1), exact = s, ~((tau > 0.5) & np.all((e > de) & np.isfinite(err), axis=0) & (np.abs(s[0] - s[1]) > err.sum(axis=0)))
+        if exact.any():
+            s0[exact], s1[exact] = table(rows(ps[exact].tolist())[1])[:, 2]
         return (s0 > s1).astype(int) - (s0 < s1)
 
     signs = np.zeros(0, dtype=int)

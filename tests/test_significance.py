@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -19,6 +19,7 @@ from entsig import (
     apply_noise,
     crossing_point,
     evaluate,
+    fidelity_with_pure,
     ghz_state,
     monte_carlo_study,
     predicted_counts,
@@ -35,9 +36,11 @@ from entsig import (
     mermin,
 )
 import entsig.significance as significance
+from entsig.inequalities import SQRT2, _XY, _even_y_coefficient, _parity_inequality
 from entsig.significance import (
-    _POISSON_LAM_MAX, _SWEEP_ENTRIES, NOISE_FAMILIES, _combine, _monte_carlo_studies, setting_estimates,
+    _POISSON_LAM_MAX, _SWEEP_ENTRIES, DEFAULT_SPAN, NOISE_FAMILIES, _combine, _monte_carlo_studies, setting_estimates,
 )
+from entsig.tolerances import DEFAULT
 from conftest import lab_noise_row, random_density
 
 
@@ -608,26 +611,124 @@ class TestCrossing:
         with pytest.raises(NoCrossingError):
             crossing_point("bitflip", 4, coarse=1)
 
-    @pytest.mark.parametrize("noise, n, state, states", [
+    @pytest.mark.parametrize("noise, n, state, exact_states", [
         ("bitflip", 4, None, 30),
         ("white", 4, None, 32),
         ("bitflip", 6, None, 34),
         ("white", 6, None, 39),
         ("bitflip", 4, "ansatz", 30),
     ])
-    def test_states_built_per_search(self, monkeypatch, noise, n, state, states):
-        # the coarse scan stops after the chunk that completes the first sign
-        # change: 16-point chunks at 4 qubits, 1-point chunks at 6; then the
-        # bisection steps and the state at p*, and one contraction plan
+    def test_states_built_per_search(self, monkeypatch, noise, n, state, exact_states):
+        # an all-exact search builds 30-39 states: its coarse scan up to the
+        # chunk that completes the first sign change, every bisection step and
+        # the state at p*.  With signs from the certified model, a search builds
+        # the k = n + 1 (or 2) interpolation nodes, one exact fallback at p = 0
+        # for GHZ, where Mermin's error is exactly 0 and S = inf, and the state
+        # at p*: at most n + 3.  No call builds more than a scan chunk (2**12
+        # state entries), and the search builds one contraction plan.
         initial = experimental_ansatz(AnsatzParams()) if state else None
-        expected = crossing_point(noise, n, initial_state=initial)
         built, plans = [], []
         noisy_stack, contraction_plan = significance._noisy_stack, significance._contraction_plan
         monkeypatch.setattr(significance, "_noisy_stack", lambda m, f, ps: built.append(len(ps)) or noisy_stack(m, f, ps))
         monkeypatch.setattr(significance, "_contraction_plan", lambda s: plans.append(1) or contraction_plan(s))
-        assert crossing_point(noise, n, initial_state=initial) == expected
-        assert sum(built) == states
+        expected = exact_crossing(noise, n, initial, 8000.0, None, (mermin(n), ardehali(n)))
+        assert sum(built) == exact_states
+        built.clear()
+        plans.clear()
+        result = crossing_point(noise, n, initial_state=initial)
+        assert (result.p_star, result.fidelity_star) == expected
+        assert sum(built) == (n + 1 if noise == "bitflip" else 2) + (1 if state else 2) <= n + 3
+        assert max(built) <= max(1, 2**12 // 4**n)
         assert len(plans) == 1
+
+    # the five paper crossings, and GHZ spans from 0, where S_M = inf at p = 0
+    @example(n=4, noise="bitflip", kind="ghz", weight=1.0, span=None, shots=8000.0)
+    @example(n=4, noise="white", kind="ghz", weight=1.0, span=None, shots=8000.0)
+    @example(n=6, noise="bitflip", kind="ghz", weight=1.0, span=None, shots=8000.0)
+    @example(n=6, noise="white", kind="ghz", weight=1.0, span=None, shots=8000.0)
+    @example(n=4, noise="bitflip", kind="ansatz", weight=1.0, span=None, shots=8000.0)
+    @example(n=4, noise="bitflip", kind="ghz", weight=1.0, span=(0.0, 0.0872), shots=800.0)
+    @example(n=5, noise="white", kind="ghz", weight=1.0, span=(0.0, 1.0), shots=1e7)
+    @settings(deadline=None, max_examples=25)
+    @given(
+        n=st.integers(3, 6),
+        noise=st.sampled_from(NOISE_FAMILIES),
+        kind=st.sampled_from(["ghz", "ansatz", "mixed"]),
+        weight=st.floats(0, 1),
+        span=st.none() | st.tuples(st.floats(0, 1), st.floats(0, 1)).map(sorted).filter(lambda s: s[0] < s[1]).map(tuple),
+        shots=st.floats(1, 7).map(lambda x: 10.0**x),
+    )
+    def test_matches_exact_search(self, n, noise, kind, weight, span, shots):
+        # every sign the model certifies is the exact sign, so p*, F* and the
+        # NoCrossingError text are the all-exact search's, bit for bit
+        assume(kind != "ansatz" or n == 4)
+        if kind == "ansatz":
+            state = experimental_ansatz(AnsatzParams())
+        else:
+            mixed = random_density(np.random.default_rng(n), n).matrix
+            state = DensityMatrix(n, weight * ghz_state(n).projector() + (1 - weight) * mixed if kind == "mixed" else ghz_state(n).projector())
+        ineqs = parity_pair(n)
+
+        def outcome(search):
+            try:
+                return search()
+            except NoCrossingError as exc:
+                return str(exc)
+
+        expected = outcome(lambda: exact_crossing(noise, n, state, shots, span, ineqs))
+        result = outcome(lambda: crossing_point(noise, n, state, shots, ineqs, span))
+        if isinstance(result, str):
+            assert result == expected
+        else:
+            assert (result.p_star.hex(), result.fidelity_star.hex()) == tuple(x.hex() for x in expected)
+
+
+def parity_pair(n):
+    """Mermin and Ardehali on n qubits: the library's at 4 and 6, the same
+    terms (with brute-forced bounds) at 3 and 5."""
+    if n in (4, 6):
+        return mermin(n), ardehali(n)
+    y = [bin(mask).count("1") for mask in range(2**n)]
+    m_terms = [(np.binary_repr(mask, n).translate(_XY), _even_y_coefficient(y[mask])) for mask in range(2**n) if y[mask] % 2 == 0]
+    a_terms = []
+    for mask in range(2 ** (n - 1)):
+        labels, c = np.binary_repr(mask, n - 1).translate(_XY), _even_y_coefficient(y[mask]) / SQRT2
+        a_terms += [(labels + "A", -c if y[mask] % 2 else c), (labels + "B", c)]
+    return _parity_inequality(f"mermin{n}", "M", n, m_terms, 0.0), _parity_inequality(f"ardehali{n}", "A", n, a_terms, 0.0)
+
+
+def exact_crossing(noise, n, state, shots, span, ineqs):
+    """Reference: ``crossing_point``'s coarse scan and bisection with every sign
+    evaluated exactly by one ``_sweep_evaluator`` chunk, as the search ran before
+    its sign model.  Returns (p*, F*)."""
+    lo, hi = span or DEFAULT_SPAN[noise]
+    state = significance._as_initial_state(state, n)
+    _, grid, rows, table = significance._sweep_evaluator(ineqs, noise, np.linspace(lo, hi, 33), state, shots)
+    step = max(1, significance._SCAN_ENTRIES // 4**n)
+
+    def signs_at(ps):
+        s0, s1 = table(rows(ps)[1])[:, 2]
+        return [int(a > b) - int(a < b) for a, b in zip(s0, s1)]
+
+    signs, flips = [], []
+    for start in range(0, grid.size, step):
+        signs += signs_at(grid[start:start + step].tolist())
+        nonzero = [i for i, sign in enumerate(signs) if sign]
+        flips = [(i, j) for i, j in zip(nonzero, nonzero[1:]) if signs[i] != signs[j]]
+        if flips:
+            break
+    else:
+        raise NoCrossingError(f"significance difference does not change sign on [{lo:g}, {hi:g}] for {noise} noise")
+    (i, j), = flips[:1]
+    a, b = float(grid[i]), float(grid[j])
+    while b - a > DEFAULT.bisection:
+        mid = 0.5 * (a + b)
+        if signs_at([mid])[0] in (signs[i], 0):
+            a = mid
+        else:
+            b = mid
+    p_star = 0.5 * (a + b)
+    return p_star, fidelity_with_pure(apply_noise(state, noise, p_star), ghz_state(n))
 
 
 class TestCountTableIO:
