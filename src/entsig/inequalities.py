@@ -321,7 +321,7 @@ def witness_violation(rho, w: Witness) -> float:
     return -expectation(rho, w.matrix)
 
 
-def _contraction_plan(settings) -> tuple[list, np.ndarray]:
+def _contraction_plan(settings) -> tuple[list, np.ndarray, tuple]:
     """Qubit-by-qubit contraction plan for a stack of product settings.
 
     Level k holds one node per distinct observable prefix
@@ -330,7 +330,8 @@ def _contraction_plan(settings) -> tuple[list, np.ndarray]:
     T[i, j] = conj(u[i, :]) * u[j, :] of its qubit-k eigenbasis u, shaped
     (g, 2, 1, 1, 1, 1).  ``index[s, o]`` is the flat (last-level node, outcome)
     entry that holds setting s's outcome o; the kernel puts qubit k's outcome
-    at bit k, so the index also reverses the outcome bits.
+    at bit k, so the index also reverses the outcome bits.  The settings come
+    last, for ``_settle_zeros``.
     """
     levels, nodes = [], {(): 0}
     for k in range(settings[0].n_qubits):
@@ -341,7 +342,7 @@ def _contraction_plan(settings) -> tuple[list, np.ndarray]:
         t = [(u[:, i].conj() * u[:, j])[:, :, None, None, None, None] for i in (0, 1) for j in (0, 1)]
         levels.append((np.array([parents[prefix[:-1]] for prefix in nodes]), *t))
     reverse = np.arange(2 ** len(levels)).reshape([2] * len(levels)).T.ravel()
-    return levels, np.array([nodes[s.observables] for s in settings])[:, None] * reverse.size + reverse
+    return levels, np.array([nodes[s.observables] for s in settings])[:, None] * reverse.size + reverse, tuple(settings)
 
 
 def _probability_rows(rho, plan) -> np.ndarray:
@@ -357,11 +358,12 @@ def _probability_rows(rho, plan) -> np.ndarray:
     outcome bit going in front of the prefix.  Only separately rounded
     elementwise products and sums are used, so outcomes that rho cannot
     produce come out exactly 0.0 (the zero-error rule and Poisson sampling
-    depend on it), and a state's rows are the same bits alone or in a stack.
-    They come back as one C-contiguous (G, S, d) copy: ``setting_estimates``
-    rounds by memory layout.
+    depend on it); the few values close enough to zero to differ in that from
+    the per-setting sum are settled by it (``_settle_zeros``).  A state's rows
+    are the same bits alone or in a stack.  They come back as one
+    C-contiguous (G, S, d) copy: ``setting_estimates`` rounds by memory layout.
     """
-    levels, index = plan
+    levels, index, settings = plan
     m = _matrix(rho)
     lead, d = m.shape[:-2], 2 ** len(levels)
     if m.shape[-2:] != (d, d):
@@ -375,15 +377,66 @@ def _probability_rows(rho, plan) -> np.ndarray:
             r += t * vij[:, None]
         r = r.reshape(len(parents), 2 * n_prefix, h, h, r.shape[-1])
     p = r.real.reshape(-1, r.shape[-1]).T.take(index, axis=1).reshape(*lead, *index.shape)
+    del r, v  # the kernel's blocks are not kept while the zeros are settled
     lowest = float(p.min())
     if lowest < -DEFAULT.prob_floor:
         raise ValueError(f"negative outcome probability {lowest:.3e}")
+    _settle_zeros(m, p.reshape(-1, *index.shape), settings)
     np.clip(p, 0.0, None, out=p)
     sums = p.sum(axis=-1)
     bad = np.flatnonzero(~(np.abs(sums - 1.0) <= DEFAULT.prob_sum))  # NaN rows fail too
     if bad.size:
         raise ValueError(f"outcome probabilities sum to {float(sums.flat[bad[0]])!r}")
     return p
+
+
+def _gamma(m: int) -> float:
+    """Higham's bound m u / (1 - m u), u = eps / 2, on the relative error of m roundings."""
+    return m * np.finfo(float).eps / (2 - m * np.finfo(float).eps)
+
+
+def _settle_zeros(m, p, settings) -> None:
+    """Give the (G, S, d) kernel rows ``p`` of the (..., d, d) states ``m`` the
+    exact zeros of the per-setting sum, in place.
+
+    That sum, ``np.einsum("io,ij,jo->o", conj(u), rho, u)`` on a C-ordered
+    rho, adds the terms (conj(u_io) * rho_ij) * u_jo to 0.0 row by row.  It
+    and the kernel are each within gamma_{d^2 + 16n + 8} ||rho||_F of the
+    exact value, and ||rho||_F <= tr rho = 1, so a kernel value above twice
+    that, ``bound``, is positive in the sum too.  The sum is replayed for
+    kernel values in (0, bound], and for the kernel's zeros on states with a
+    real or imaginary part at most ``bound`` times their largest: rounding
+    loses such parts next to the larger ones at different steps of the two
+    sums (bit-flip at p ~ 1e-17 or 1 - 1e-16, a subnormal p).  On all other
+    states tried, the paper's grid states and X/Y/Z/A/B settings on random,
+    bit-flip and white-noise states, the two sums have the same zeros.  The
+    replay runs over the entries nonzero in any state that needs the same
+    basis (a zero entry adds an exact zero).  Where it is not positive the
+    value becomes 0.0, and where only it is positive, its value.
+    """
+    d = p.shape[-1]
+    bound = 2 * _gamma(d * d + 16 * (d.bit_length() - 1) + 8)
+    near = p <= bound
+    if not near.any():
+        return
+    parts = np.abs(m.reshape(p.shape[0], -1).view(float))  # real and imaginary parts of each state
+    tiny = ((parts > 0.0) & (parts <= bound * parts.max(axis=1, keepdims=True))).any(axis=1)
+    near &= (p > 0.0) | tiny[:, None, None]
+    if not near.any():
+        return
+    g, s, o = np.nonzero(near)
+    m = m.reshape(-1, d, d)
+    for k in np.unique(s):  # one basis at a time, for every state that needs it
+        u, g_k, o_k = settings[k].basis, g[s == k], o[s == k]
+        i, j = np.nonzero(np.any(m[np.unique(g_k)] != 0.0, axis=0))  # the entries nonzero in any of them, row by row
+        step = max(1, 2**15 // max(1, i.size))  # at most 2**15 terms at a time
+        for x in range(0, g_k.size, step):
+            at, cols = g_k[x:x + step], o_k[x:x + step, None]
+            a, v, c = u[i, cols].conj(), m[at[:, None], i, j], u[j, cols]
+            re = (a.real * v.real - a.imag * v.imag) * c.real - (a.real * v.imag + a.imag * v.real) * c.imag
+            total = np.add.accumulate(np.hstack([np.zeros((at.size, 1)), re]), axis=1)[:, -1]
+            kernel = p[at, k, cols[:, 0]]
+            p[at, k, cols[:, 0]] = np.where(total > 0.0, np.where(kernel > 0.0, kernel, total), 0.0)
 
 
 def outcome_probabilities(rho, setting: MeasurementSetting) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .channels import _bit_flip_all, _require_unit, _white_mix
 from .core import DensityMatrix, PureState, _validate_stack, expectation, fidelity_with_pure, ghz_state, variance
-from .inequalities import BellInequality, Witness, _contraction_plan, _probability_rows, ardehali, mermin
+from .inequalities import BellInequality, Witness, _contraction_plan, _gamma, _probability_rows, ardehali, mermin
 from .tolerances import DEFAULT
 
 # noise family -> (its strength in range errors, its (G, d, d) stack map)
@@ -525,17 +525,16 @@ def crossing_point(
         raise ValueError(f"invalid search span {span!r}")
     _, grid, rows, table = _sweep_evaluator((first, second), noise, np.linspace(lo, hi, coarse), state0, total_copies)
     step, d, k = max(1, _SCAN_ENTRIES // 4**n), 2**n, n + 1 if noise == "bitflip" else 2
-    gamma = lambda m: m * np.finfo(float).eps / (2 - m * np.finfo(float).eps)  # Higham: m u / (1 - m u), u = eps / 2
     nodes = np.minimum(lo + (hi - lo) * (0.5 - 0.5 * np.cos(np.pi * np.arange(k) / (k - 1))), hi)
     node_rows, m0 = np.full((k, first.n_settings + second.n_settings, d), np.nan), state0.matrix
     with np.errstate(all="ignore"):  # the model never warns: what it cannot bound is evaluated exactly
         with contextlib.suppress(ValueError):  # refused nodes: NaN rows certify nothing
             node_rows = np.concatenate([rows(nodes[i:i + step].tolist())[1] for i in range(0, k, step)])
-        eta = gamma(16 * n) * np.linalg.norm(m0) + 2 * (d + 1) * DEFAULT.psd_clamp + abs(np.trace(m0).real - 1)  # step 1
+        eta = _gamma(d * d + 16 * n + 8) * np.linalg.norm(m0) + 2 * (d + 1) * DEFAULT.psd_clamp + abs(np.trace(m0).real - 1)  # step 1
         # per inequality: its settings S, sum of max|coeff| + |bound|, S * sum of max|coeff|**2
         n_set, sum_l, sum_l2 = np.transpose([(q.n_settings, x.sum() + abs(q.lhv_bound), q.n_settings * (x * x).sum())
                                              for q, x in ((q, np.abs(q.outcome_coeffs).max(axis=1)) for q in (first, second))])[:, :, None]
-    g, spread = 2 * gamma(2 * (d + int(n_set.max())) + 16), DEFAULT.coeff_spread
+    g, spread = 2 * _gamma(2 * (d + int(n_set.max())) + 16), DEFAULT.coeff_spread
 
     def signs_at(ps) -> np.ndarray:
         ps, (s0, s1), exact = np.array(ps, dtype=float), np.zeros((2, len(ps))), np.ones(len(ps), dtype=bool)
@@ -545,7 +544,7 @@ def crossing_point(
             lag = np.where(hit, 1.0, diff.prod(axis=1, keepdims=True) / np.where(hit, 1.0, diff)
                            / (nodes[:, None] - nodes + np.eye(k)).prod(axis=1))
             leb, probs = np.abs(lag).sum(axis=1), np.maximum(np.tensordot(lag, node_rows, 1), 0.0)
-            d_delta = d * ((leb + 1) * eta + gamma(5 * k) * leb * node_rows.max())  # step 2
+            d_delta = d * ((leb + 1) * eta + _gamma(5 * k) * leb * node_rows.max())  # step 2
             tau = np.minimum(probs.sum(axis=-1).min(axis=-1) - d_delta, 1.0)
             big_d = (d_delta + g) / tau**2  # step 3
             e, s = table(probs)[:, 1:].transpose(1, 0, 2)

@@ -356,6 +356,25 @@ class TestStackedProbabilities:
             assert np.max(np.abs(got - ref)) <= 1e-15
             assert np.array_equal(got == 0.0, ref == 0.0)
 
+    # entries below the rounding of the largest ones: the kernel alone put
+    # 0.0 where the einsum has ~1e-17 (bit-flip 7e-18 on 3 qubits, AAY; white
+    # 2**-52 on 4 qubits, AAAA) and the other way round
+    TINY = (("bitflip", 7e-18), ("bitflip", 3e-17), ("bitflip", 1e-323), ("bitflip", 1.0 - 2**-53),
+            ("white", 2**-52), ("white", 3e-17), ("white", 2.5e-323))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_sub_rounding_entries_keep_einsum_zeros(self, n):
+        labels = ["".join(t) for t in itertools.product("XYZAB", repeat=n)][:: 5 ** n // 25 or 1]
+        labels = list(dict.fromkeys(labels + ["AAY"[:n] + "X" * (n - 3), "A" * n, "ABX"[:n] + "X" * (n - 3)]))
+        stack = [MeasurementSetting(tuple(standard_observable(c) for c in label)) for label in labels]
+        ineq = BellInequality("tiny", "T", n, stack, np.zeros((len(stack), 2**n)), 0.0, np.zeros((2**n, 2**n)))
+        ghz = DensityMatrix.from_pure(ghz_state(n))
+        for fam, p in self.TINY:
+            rho = apply_noise(ghz, fam, p)
+            ref, got = per_setting_einsum(rho, ineq), ineq.probabilities(rho)
+            assert np.max(np.abs(got - ref)) <= 1e-15
+            assert np.array_equal(got == 0.0, ref == 0.0), (fam, p)
+
     @settings(deadline=None)
     @given(case=product_stacks(), data=st.data())
     def test_random_product_settings(self, case, data):
