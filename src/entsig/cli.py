@@ -271,10 +271,8 @@ def cmd_montecarlo(args) -> str:
 def _add_state_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shots", type=float, default=8000.0)
     p.add_argument("--state", choices=("ghz", "ansatz"), default="ghz")
-    p.add_argument("--alpha", type=float, default=0.362)
-    p.add_argument("--beta", type=float, default=0.522)
-    p.add_argument("--gamma", type=float, default=0.398)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.12)
+    for name, default in vars(AnsatzParams()).items():  # --alpha, --beta, --gamma, --lambda
+        p.add_argument("--lambda" if name == "lam" else f"--{name}", dest=name, type=float, default=default)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

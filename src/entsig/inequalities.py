@@ -29,7 +29,6 @@ from .core import (
 from .tolerances import DEFAULT
 
 SQRT2 = math.sqrt(2.0)
-_BOUND_CACHE: dict[str, float] = {}  # inequality name -> brute-forced LHV bound
 _XY = str.maketrans("01", "XY")  # bit string -> X/Y labels, Y at each set bit, qubit 0 the most significant
 
 
@@ -175,7 +174,7 @@ def _even_y_coefficient(y_count: int) -> float:
 
 def _parity_inequality(name: str, tag: str, n: int, terms, lhv_bound: float) -> BellInequality:
     """One setting per (labels, coefficient) term, each with outcome
-    coefficients coefficient * parity; the bound is brute-forced for n != 4.
+    coefficients coefficient * parity, and the LHV bound as given.
     Off-diagonal factors put each term on the anti-diagonal: its entries fold
     prefix times factor, as ``np.kron`` multiplies, and add in term order from 0."""
     labels, coeffs = zip(*terms)
@@ -189,21 +188,17 @@ def _parity_inequality(name: str, tag: str, n: int, terms, lhv_bound: float) -> 
         rows = (rows[:, :, None] * table[:, k, None, :]).reshape(len(labels), -1)
     op, i = np.zeros((2**n, 2**n), dtype=complex), np.arange(2**n)
     op[i, i[::-1]] = reduce(np.add, np.array(coeffs)[:, None] * rows, np.zeros(2**n, dtype=complex))
-    ineq = BellInequality(
+    return BellInequality(
         name=name, tag=tag, n_qubits=n, lhv_bound=lhv_bound, operator=op,
         settings=tuple(MeasurementSetting(tuple(map(standard_observable, lab))) for lab in labels),
         outcome_coeffs=np.outer(coeffs, reduce(np.kron, [np.array([1.0, -1.0])] * n)),
     )
-    if n != 4:
-        if name not in _BOUND_CACHE:
-            _BOUND_CACHE[name] = lhv_bound_bruteforce(ineq)
-        ineq.lhv_bound = _BOUND_CACHE[name]
-    return ineq
 
 
 def mermin(n: int) -> BellInequality:
     """The stabilizer-type inequality: all even-Y X/Y strings, signed
-    (-1)**(#Y/2), one measurement setting per string (8 settings at n=4)."""
+    (-1)**(#Y/2), one measurement setting per string (8 settings at n=4);
+    bound 2**(n/2) (Mermin, PRL 65, 1838 (1990))."""
     if n not in (4, 6):
         raise ValueError(f"mermin inequality implemented for n in (4, 6), got {n}")
     terms = []
@@ -211,13 +206,14 @@ def mermin(n: int) -> BellInequality:
         y_count = bin(mask).count("1")
         if y_count % 2 == 0:
             terms.append((np.binary_repr(mask, n).translate(_XY), _even_y_coefficient(y_count)))
-    return _parity_inequality(f"mermin{n}", "M", n, terms, 4.0)
+    return _parity_inequality(f"mermin{n}", "M", n, terms, 2.0 ** (n // 2))
 
 
 def ardehali(n: int) -> BellInequality:
     """The rotated-last-qubit inequality: every X/Y string on the first n-1
     qubits paired with A and with B on the last qubit, all terms weighted
-    1/sqrt(2) (16 settings at n=4); bound 2*sqrt(2) at n=4."""
+    1/sqrt(2) (16 settings at n=4); bound 2**((n-1)/2) (Ardehali, PRA 46, 5375
+    (1992)), at n=6 with the bits of ``lhv_bound_bruteforce``, 1 ulp above 4*sqrt(2)."""
     if n not in (4, 6):
         raise ValueError(f"ardehali inequality implemented for n in (4, 6), got {n}")
     terms = []
@@ -226,7 +222,7 @@ def ardehali(n: int) -> BellInequality:
         y_count = bin(mask).count("1")
         c = _even_y_coefficient(y_count) / SQRT2  # odd #Y: (-1)**((y-1)//2) == (-1)**(y//2)
         terms += [(labels + "A", -c if y_count % 2 else c), (labels + "B", c)]
-    return _parity_inequality(f"ardehali{n}", "A", n, terms, 2.0 * SQRT2)
+    return _parity_inequality(f"ardehali{n}", "A", n, terms, 2 * SQRT2 if n == 4 else math.nextafter(4 * SQRT2, 8.0))
 
 
 def generic_inequality(
@@ -410,9 +406,9 @@ def _settle_zeros(m, p, settings) -> None:
     sums (bit-flip at p ~ 1e-17 or 1 - 1e-16, a subnormal p).  On all other
     states tried, the paper's grid states and X/Y/Z/A/B settings on random,
     bit-flip and white-noise states, the two sums have the same zeros.  The
-    replay runs over the entries nonzero in any state that needs the same
-    basis (a zero entry adds an exact zero).  Where it is not positive the
-    value becomes 0.0, and where only it is positive, its value.
+    replay is that einsum, split along outcomes only, over the entries nonzero
+    in any state that needs the basis (a zero entry adds an exact zero); it
+    sets 0.0 where the sum is not positive, and the sum where only it is.
     """
     d = p.shape[-1]
     bound = 2 * _gamma(d * d + 16 * (d.bit_length() - 1) + 8)
@@ -428,15 +424,13 @@ def _settle_zeros(m, p, settings) -> None:
     m = m.reshape(-1, d, d)
     for k in np.unique(s):  # one basis at a time, for every state that needs it
         u, g_k, o_k = settings[k].basis, g[s == k], o[s == k]
-        i, j = np.nonzero(np.any(m[np.unique(g_k)] != 0.0, axis=0))  # the entries nonzero in any of them, row by row
-        step = max(1, 2**15 // max(1, i.size))  # at most 2**15 terms at a time
-        for x in range(0, g_k.size, step):
-            at, cols = g_k[x:x + step], o_k[x:x + step, None]
-            a, v, c = u[i, cols].conj(), m[at[:, None], i, j], u[j, cols]
-            re = (a.real * v.real - a.imag * v.imag) * c.real - (a.real * v.imag + a.imag * v.real) * c.imag
-            total = np.add.accumulate(np.hstack([np.zeros((at.size, 1)), re]), axis=1)[:, -1]
-            kernel = p[at, k, cols[:, 0]]
-            p[at, k, cols[:, 0]] = np.where(total > 0.0, np.where(kernel > 0.0, kernel, total), 0.0)
+        states, outs = np.unique(g_k), np.unique(o_k)
+        i, j = np.nonzero(np.any(m[states] != 0.0, axis=0))  # the entries nonzero in any of them, row by row
+        v, step = m[states[:, None], i, j], max(1, 2**15 // max(1, i.size))  # at most 2**15 basis terms at a time
+        total = np.hstack([np.einsum("ko,gk,ko->go", u[i[:, None], cols].conj(), v, u[j[:, None], cols]).real
+                           for cols in np.split(outs, range(step, outs.size, step))])
+        total, kernel = total[np.searchsorted(states, g_k), np.searchsorted(outs, o_k)], p[g_k, k, o_k]
+        p[g_k, k, o_k] = np.where(total > 0.0, np.where(kernel > 0.0, kernel, total), 0.0)
 
 
 def outcome_probabilities(rho, setting: MeasurementSetting) -> np.ndarray:

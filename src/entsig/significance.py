@@ -421,11 +421,11 @@ class SweepTable:
 def _sweep_evaluator(ineqs, noise: str, grid, initial_state, total_copies: float):
     """Check a sweep's arguments and build what its chunks share: one plan, and
     the (S, 1) copies and (S, 2**n) coefficients of all S settings with each
-    inequality's offsets.  Returns ``(ineqs, grid, rows, table)``:
-    ``rows(ps)`` runs the noise strengths ``ps`` as one validated (G, d, d) state
-    stack and one kernel call, giving G fidelities and (G, S, 2**n) probability
-    rows; ``table(probs)`` runs one estimate pass, then one ``_combine`` per
-    inequality, giving an (n_ineqs, 3, G) V, E, S table."""
+    inequality's offsets.  Returns the checked initial state and ``(grid, rows,
+    table)``: ``rows(ps)`` runs the noise strengths ``ps`` as one validated
+    (G, d, d) state stack and one kernel call, giving G fidelities and (G, S,
+    2**n) probability rows; ``table(probs)`` runs one estimate pass, then one
+    ``_combine`` per inequality, giving an (n_ineqs, 3, G) V, E, S table."""
     ineqs = list(ineqs)
     if not ineqs:
         raise ValueError("need at least one inequality")
@@ -456,7 +456,7 @@ def _sweep_evaluator(ineqs, noise: str, grid, initial_state, total_copies: float
         ves = [_combine(means[:, a:b], errors[:, a:b], q.lhv_bound) for q, a, b in zip(ineqs, offsets, offsets[1:])]
         return np.array([(v, e, _significance_of(v, e)[0]) for v, e in ves])
 
-    return ineqs, grid, rows, table
+    return state0, grid, rows, table
 
 
 def significance_sweep(
@@ -469,7 +469,8 @@ def significance_sweep(
     """Evaluate predicted-count significance for each inequality along a noise
     grid, tracking the GHZ fidelity of the noisy state, one evaluator chunk of at
     most ``_SWEEP_ENTRIES`` state entries (one kernel call) at a time."""
-    ineqs, grid, rows, table = _sweep_evaluator(ineqs, noise, grid, initial_state, total_copies)
+    ineqs = list(ineqs)
+    _, grid, rows, table = _sweep_evaluator(ineqs, noise, grid, initial_state, total_copies)
     step = max(1, _SWEEP_ENTRIES // 4 ** ineqs[0].n_qubits)
     chunks = [(fid, table(probs)) for fid, probs in (rows(grid[i:i + step].tolist()) for i in range(0, grid.size, step))]
     fid, values = (np.concatenate(x, axis=-1) for x in zip(*chunks))
@@ -491,7 +492,7 @@ class CrossingResult:
 
 def crossing_point(
     noise: str,
-    n: int = 4,
+    n: int | None = None,
     initial_state=None,
     total_copies: float = 8000.0,
     ineqs=None,
@@ -511,19 +512,22 @@ def crossing_point(
     sign is taken where |S_first - S_second| exceeds the sum of both S bounds
     (README, "Crossing search", steps 1-4); other points, and all if the model
     raises, are evaluated exactly, so p* is the exact search's to the bit.
+    ``n`` defaults to the qubit count of ``ineqs``, 4 for the default pair.
     """
     if noise not in DEFAULT_SPAN:
         raise ValueError(f"unknown noise family {noise!r}; expected one of {NOISE_FAMILIES}")
     if ineqs is None:
-        ineqs = (mermin(n), ardehali(n))
+        ineqs = (mermin(4 if n is None else n), ardehali(4 if n is None else n))
     first, second = ineqs
-    state0 = _as_initial_state(initial_state, n)
+    if n not in (None, first.n_qubits):
+        raise ValueError(f"n = {n} does not match the inequalities' {first.n_qubits} qubits")
+    n = first.n_qubits
     if span is None:
         span = DEFAULT_SPAN[noise]
     lo, hi = span
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"invalid search span {span!r}")
-    _, grid, rows, table = _sweep_evaluator((first, second), noise, np.linspace(lo, hi, coarse), state0, total_copies)
+    state0, grid, rows, table = _sweep_evaluator(ineqs, noise, np.linspace(lo, hi, coarse), initial_state, total_copies)
     step, d, k = max(1, _SCAN_ENTRIES // 4**n), 2**n, n + 1 if noise == "bitflip" else 2
     nodes = np.minimum(lo + (hi - lo) * (0.5 - 0.5 * np.cos(np.pi * np.arange(k) / (k - 1))), hi)
     node_rows, m0 = np.full((k, first.n_settings + second.n_settings, d), np.nan), state0.matrix

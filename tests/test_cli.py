@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entsig import (
+    AnsatzParams,
     ShotBudget,
     evaluate,
     ghz_state,
@@ -678,6 +679,11 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--noise", "pink"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["sweep", "crossing", "predict"])
+    def test_state_defaults_are_the_ansatz_defaults(self, command):
+        args = build_parser().parse_args([command])
+        assert AnsatzParams(args.alpha, args.beta, args.gamma, args.lam) == AnsatzParams()
 
 
 @pytest.mark.parametrize("command", ["crossing", "improve", "predict"])

@@ -1,6 +1,10 @@
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,7 @@ from entsig import (
     violation,
     witness_violation,
 )
+import entsig
 from entsig.inequalities import _contraction_plan, _parity_inequality, _probability_rows
 from conftest import random_density
 
@@ -232,6 +237,25 @@ class TestLHVBruteForce:
         assert a6.lhv_bound == pytest.approx(slow_lhv_maximum(a6), abs=1e-9)
         assert a6.lhv_bound == pytest.approx(4 * SQRT2, abs=1e-9)
 
+    def test_bounds_bit_for_bit(self):
+        # the closed forms 2**(n/2) and 2**((n-1)/2) at n = 4; at n = 6 the
+        # brute force's bits, which for Ardehali are 1 ulp above 4*sqrt(2)
+        assert (mermin(4).lhv_bound.hex(), ardehali(4).lhv_bound.hex()) == ((4.0).hex(), (2 * SQRT2).hex())
+        for ineq in (mermin(6), ardehali(6)):
+            assert ineq.lhv_bound.hex() == lhv_bound_bruteforce(ineq).hex()
+        assert (mermin(6).lhv_bound.hex(), ardehali(6).lhv_bound.hex()) == ((8.0).hex(), math.nextafter(4 * SQRT2, 8.0).hex())
+
+    def test_six_qubit_construction_does_not_brute_force(self):
+        # in a fresh process, so that no bound an earlier test computed is reused
+        code = ("import entsig.inequalities as q\n"
+                "def refuse(ineq):\n"
+                "    raise AssertionError('brute-forced ' + ineq.name)\n"
+                "q.lhv_bound_bruteforce = refuse\n"
+                "q.mermin(6), q.ardehali(6)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(entsig.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
     def test_ardehali4_against_slow_enumeration(self, ardehali4):
         assert lhv_bound_bruteforce(ardehali4) == pytest.approx(
             slow_lhv_maximum(ardehali4), abs=1e-12
@@ -362,18 +386,22 @@ class TestStackedProbabilities:
     TINY = (("bitflip", 7e-18), ("bitflip", 3e-17), ("bitflip", 1e-323), ("bitflip", 1.0 - 2**-53),
             ("white", 2**-52), ("white", 3e-17), ("white", 2.5e-323))
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_sub_rounding_entries_keep_einsum_zeros(self, n):
         labels = ["".join(t) for t in itertools.product("XYZAB", repeat=n)][:: 5 ** n // 25 or 1]
         labels = list(dict.fromkeys(labels + ["AAY"[:n] + "X" * (n - 3), "A" * n, "ABX"[:n] + "X" * (n - 3)]))
         stack = [MeasurementSetting(tuple(standard_observable(c) for c in label)) for label in labels]
         ineq = BellInequality("tiny", "T", n, stack, np.zeros((len(stack), 2**n)), 0.0, np.zeros((2**n, 2**n)))
         ghz = DensityMatrix.from_pure(ghz_state(n))
-        for fam, p in self.TINY:
-            rho = apply_noise(ghz, fam, p)
+        states = {(fam, p): apply_noise(ghz, fam, p) for fam, p in self.TINY}
+        # a dense state next to GHZ: every entry enters the replayed sums, which
+        # at 6 qubits run in chunks of outcomes
+        noise = random_density(np.random.default_rng(n), n).matrix
+        states["dense", 1e-16] = DensityMatrix(n, (1 - 1e-16) * ghz.matrix + 1e-16 * noise)
+        for key, rho in states.items():
             ref, got = per_setting_einsum(rho, ineq), ineq.probabilities(rho)
             assert np.max(np.abs(got - ref)) <= 1e-15
-            assert np.array_equal(got == 0.0, ref == 0.0), (fam, p)
+            assert np.array_equal(got == 0.0, ref == 0.0), key
 
     @settings(deadline=None)
     @given(case=product_stacks(), data=st.data())

@@ -33,6 +33,7 @@ from entsig import (
     ardehali,
     inequality_from_json_dict,
     inequality_to_json_dict,
+    lhv_bound_bruteforce,
     mermin,
 )
 import entsig.significance as significance
@@ -611,6 +612,14 @@ class TestCrossing:
         with pytest.raises(NoCrossingError):
             crossing_point("bitflip", 4, coarse=1)
 
+    def test_qubit_count_comes_from_the_inequalities(self):
+        # n defaults to the inequalities' qubit count, 4 for the default pair
+        six = (mermin(6), ardehali(6))
+        assert crossing_point("bitflip", ineqs=six) == crossing_point("bitflip", 6)
+        assert crossing_point("white") == crossing_point("white", 4)
+        with pytest.raises(ValueError, match=r"^n = 4 does not match the inequalities' 6 qubits$"):
+            crossing_point("bitflip", 4, ineqs=six)
+
     @pytest.mark.parametrize("noise, n, state, exact_states", [
         ("bitflip", 4, None, 30),
         ("white", 4, None, 32),
@@ -694,7 +703,8 @@ def parity_pair(n):
     for mask in range(2 ** (n - 1)):
         labels, c = np.binary_repr(mask, n - 1).translate(_XY), _even_y_coefficient(y[mask]) / SQRT2
         a_terms += [(labels + "A", -c if y[mask] % 2 else c), (labels + "B", c)]
-    return _parity_inequality(f"mermin{n}", "M", n, m_terms, 0.0), _parity_inequality(f"ardehali{n}", "A", n, a_terms, 0.0)
+    pair = _parity_inequality(f"mermin{n}", "M", n, m_terms, 0.0), _parity_inequality(f"ardehali{n}", "A", n, a_terms, 0.0)
+    return tuple(dataclasses.replace(q, lhv_bound=lhv_bound_bruteforce(q)) for q in pair)
 
 
 def exact_crossing(noise, n, state, shots, span, ineqs):
