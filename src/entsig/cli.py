@@ -12,6 +12,7 @@ error (every ValueError that is not a data error), 3 data error, 4 no crossing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -343,8 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one parser per process: parsing leaves it as it was
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")

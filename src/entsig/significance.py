@@ -31,9 +31,11 @@ NOISE_FAMILIES = tuple(_NOISE)
 DEFAULT_SPAN = {"bitflip": (0.0, 0.25), "white": (0.0, 0.9)}
 # state entries per chunk of (G, d, d) states: a sweep evaluates every point, so its
 # chunks are big and few (64 points at 4 qubits, 4 at 6); a crossing evaluates only its
-# model's nodes and the points the model cannot certify, in small chunks (16 points and 1)
+# model's nodes and the points the model cannot certify, in small chunks (16 points and 1),
+# and scans with its model in chunks of model-table entries (all 33 points and 5)
 _SWEEP_ENTRIES = 2**14
 _SCAN_ENTRIES = 2**12
+_MODEL_ENTRIES = 2**15
 # count entries of a call's largest table per Monte Carlo block: 128 trials for the
 # 4-qubit pair, 256 for Mermin alone, 8 at 6 qubits; 0.4 MB of float64 counts at 4 qubits
 _BLOCK_COUNTS = 2**15
@@ -101,9 +103,11 @@ class CountTable:
             if self.mode == "sampled":
                 if not np.all(arr == np.round(arr)):
                     raise ValueError(f"sampled counts must be integers in setting {label!r}")
-                if np.any(arr >= 2.0**63):  # past int64, where the cast below would wrap
+                exact = np.asarray(vec)  # integers as given, not rounded to 53 bits
+                exact = exact if exact.dtype.kind in "iu" else arr
+                if np.any(exact >= 2**63):  # past int64, where the cast below would wrap
                     raise ValueError(f"sampled counts must be below 2**63 in setting {label!r}")
-                arr = arr.astype(np.int64)
+                arr = exact.astype(np.int64)
             else:
                 arr = arr.copy()
             arr.setflags(write=False)
@@ -133,17 +137,17 @@ class CountTable:
     def from_json_dict(cls, data: dict) -> "CountTable":
         try:
             name = str(data["inequality"])
-            pairs = [(str(e["label"]), np.asarray(e["counts"], dtype=float)) for e in data["settings"]]
+            pairs = [(str(e["label"]), e["counts"], np.asarray(e["counts"], dtype=float)) for e in data["settings"]]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed count table: {exc}") from exc
         entries = {}
-        for label, vec in pairs:
+        for label, vec, _ in pairs:
             if label in entries:
                 raise ValueError(f"count table lists setting {label!r} twice")
             entries[label] = vec
         mode = data.get("mode")
         if mode is None:
-            integral = all(np.all(v == np.round(v)) for v in entries.values())
+            integral = all(np.all(v == np.round(v)) for _, _, v in pairs)
             mode = "sampled" if integral else "predicted"
         return cls(name, entries, str(mode))
 
@@ -423,7 +427,7 @@ def _sweep_evaluator(ineqs, noise: str, grid, initial_state, total_copies: float
     the (S, 1) copies and (S, 2**n) coefficients of all S settings with each
     inequality's offsets.  Returns the checked initial state and ``(grid, rows,
     table)``: ``rows(ps)`` runs the noise strengths ``ps`` as one validated
-    (G, d, d) state stack and one kernel call, giving G fidelities and (G, S,
+    (G, d, d) state stack and one kernel call, giving the stack and its (G, S,
     2**n) probability rows; ``table(probs)`` runs one estimate pass, then one
     ``_combine`` per inequality, giving an (n_ineqs, 3, G) V, E, S table."""
     ineqs = list(ineqs)
@@ -440,7 +444,6 @@ def _sweep_evaluator(ineqs, noise: str, grid, initial_state, total_copies: float
     if np.any(~((grid >= 0) & (grid <= 1))):
         raise ValueError("noise grid values must lie in [0, 1]")
     state0 = _as_initial_state(initial_state, n)
-    reference = ghz_state(n)
     plan = _contraction_plan([s for q in ineqs for s in q.settings])
     copies = np.array([[c] for q in ineqs for c in ShotBudget.equal_split(total_copies, q).allocation.values()])
     coeffs = np.concatenate([q.outcome_coeffs for q in ineqs])
@@ -449,7 +452,7 @@ def _sweep_evaluator(ineqs, noise: str, grid, initial_state, total_copies: float
     def rows(ps):
         noisy = _noisy_stack(state0.matrix, noise, ps)
         _validate_stack(noisy)
-        return [fidelity_with_pure(m, reference) for m in noisy], _probability_rows(noisy, plan)
+        return noisy, _probability_rows(noisy, plan)
 
     def table(probs):
         means, errors, _ = setting_estimates(copies * probs, coeffs)
@@ -471,8 +474,9 @@ def significance_sweep(
     most ``_SWEEP_ENTRIES`` state entries (one kernel call) at a time."""
     ineqs = list(ineqs)
     _, grid, rows, table = _sweep_evaluator(ineqs, noise, grid, initial_state, total_copies)
-    step = max(1, _SWEEP_ENTRIES // 4 ** ineqs[0].n_qubits)
-    chunks = [(fid, table(probs)) for fid, probs in (rows(grid[i:i + step].tolist()) for i in range(0, grid.size, step))]
+    step, reference = max(1, _SWEEP_ENTRIES // 4 ** ineqs[0].n_qubits), ghz_state(ineqs[0].n_qubits)
+    chunks = [([fidelity_with_pure(m, reference) for m in noisy], table(probs))
+              for noisy, probs in (rows(grid[i:i + step].tolist()) for i in range(0, grid.size, step))]
     fid, values = (np.concatenate(x, axis=-1) for x in zip(*chunks))
     return SweepTable(
         noise=noise, n_qubits=ineqs[0].n_qubits, total_copies=total_copies,
@@ -501,8 +505,7 @@ def crossing_point(
 ) -> CrossingResult:
     """Locate where the two inequalities swap significance order.
 
-    Scans a coarse grid in chunks of ``_SCAN_ENTRIES`` state entries, up to
-    the one that completes the first sign change of S_first - S_second
+    Scans a coarse grid up to the first sign change of S_first - S_second
     (infinities compare as larger than any finite value; ties are skipped),
     then bisects the bracket down to the configured noise-parameter
     resolution; ``span`` defaults to the family's ``DEFAULT_SPAN``.  Outcome
@@ -511,7 +514,11 @@ def crossing_point(
     interpolated in the first barycentric form, give a model S everywhere.  Its
     sign is taken where |S_first - S_second| exceeds the sum of both S bounds
     (README, "Crossing search", steps 1-4); other points, and all if the model
-    raises, are evaluated exactly, so p* is the exact search's to the bit.
+    raises, are evaluated exactly, so p* is the exact search's to the bit.  The
+    model runs on scan chunks of ``_MODEL_ENTRIES`` table entries and on the 7
+    midpoints of three bisection levels at once; the scan's uncertified points
+    are evaluated in order, ``_SCAN_ENTRIES`` state entries at a time, until the
+    first sign change is settled, and a bisection midpoint alone.
     ``n`` defaults to the qubit count of ``ineqs``, 4 for the default pair.
     """
     if noise not in DEFAULT_SPAN:
@@ -529,6 +536,7 @@ def crossing_point(
         raise ValueError(f"invalid search span {span!r}")
     state0, grid, rows, table = _sweep_evaluator(ineqs, noise, np.linspace(lo, hi, coarse), initial_state, total_copies)
     step, d, k = max(1, _SCAN_ENTRIES // 4**n), 2**n, n + 1 if noise == "bitflip" else 2
+    chunk = max(1, _MODEL_ENTRIES // ((first.n_settings + second.n_settings) * d))
     nodes = np.minimum(lo + (hi - lo) * (0.5 - 0.5 * np.cos(np.pi * np.arange(k) / (k - 1))), hi)
     node_rows, m0 = np.full((k, first.n_settings + second.n_settings, d), np.nan), state0.matrix
     with np.errstate(all="ignore"):  # the model never warns: what it cannot bound is evaluated exactly
@@ -540,8 +548,9 @@ def crossing_point(
                                              for q, x in ((q, np.abs(q.outcome_coeffs).max(axis=1)) for q in (first, second))])[:, :, None]
     g, spread = 2 * _gamma(2 * (d + int(n_set.max())) + 16), DEFAULT.coeff_spread
 
-    def signs_at(ps) -> np.ndarray:
-        ps, (s0, s1), exact = np.array(ps, dtype=float), np.zeros((2, len(ps))), np.ones(len(ps), dtype=bool)
+    def model(ps):
+        """Model S_first and S_second at ``ps``, and the mask of the points it cannot certify."""
+        ps, s, unsure = np.array(ps, dtype=float), np.zeros((2, len(ps))), np.ones(len(ps), dtype=bool)
         with np.errstate(all="ignore"), contextlib.suppress(ValueError):  # estimates that refuse the model certify nothing
             diff = ps[:, None] - nodes
             hit = diff == 0.0
@@ -554,17 +563,26 @@ def crossing_point(
             e, s = table(probs)[:, 1:].transpose(1, 0, 2)
             de = (9 * big_d * sum_l2 + (n_set * spread) ** 2) / total_copies / e + g * e
             err = (2 * big_d * sum_l + 2 * n_set * spread + np.abs(s) * de) / (e - de) + g * np.abs(s)
-            (s0, s1), exact = s, ~((tau > 0.5) & np.all((e > de) & np.isfinite(err), axis=0) & (np.abs(s[0] - s[1]) > err.sum(axis=0)))
-        if exact.any():
-            s0[exact], s1[exact] = table(rows(ps[exact].tolist())[1])[:, 2]
-        return (s0 > s1).astype(int) - (s0 < s1)
+            unsure = ~((tau > 0.5) & np.all((e > de) & np.isfinite(err), axis=0) & (np.abs(s[0] - s[1]) > err.sum(axis=0)))
+        return s, unsure
 
-    signs = np.zeros(0, dtype=int)
-    for start in range(0, grid.size, step):
-        signs = np.append(signs, signs_at(grid[start:start + step].tolist()))
-        # first pair of neighbouring nonzero signs that differ; ties are skipped
-        nonzero = np.flatnonzero(signs)
-        flips = np.flatnonzero(signs[nonzero[1:]] != signs[nonzero[:-1]])
+    def sign(s) -> np.ndarray:
+        return (s[0] > s[1]).astype(int) - (s[0] < s[1])
+
+    signs, unsure = np.zeros(0, dtype=int), np.zeros(0, dtype=bool)
+    for start in range(0, grid.size, chunk):
+        s, u = model(grid[start:start + chunk])
+        signs, unsure = np.append(signs, sign(s)), np.append(unsure, u)
+        while True:
+            # first pair of neighbouring nonzero signs that differ before the first
+            # uncertified point; ties are skipped
+            settled = signs[:np.append(unsure, True).argmax()]
+            nonzero = np.flatnonzero(settled)
+            flips = np.flatnonzero(settled[nonzero[1:]] != settled[nonzero[:-1]])
+            if flips.size or settled.size == signs.size:
+                break
+            todo = np.flatnonzero(unsure)[:step]
+            signs[todo], unsure[todo] = sign(table(rows(grid[todo].tolist())[1])[:, 2]), False
         if flips.size:
             break
     else:
@@ -572,11 +590,19 @@ def crossing_point(
     i, j = nonzero[flips[0]], nonzero[flips[0] + 1]
     a, b, sign_a = float(grid[i]), float(grid[j]), signs[i]
     while b - a > DEFAULT.bisection:
-        mid = 0.5 * (a + b)
-        if signs_at([mid])[0] in (sign_a, 0):
-            a = mid
-        else:
-            b = mid
+        # the next three levels' 7 midpoints in one model call, node h's halves at
+        # 2h + 1 and 2h + 2, each from the endpoints the walk below reaches
+        ends, mids = [(a, b)], []
+        for x, y in (ends[h] for h in range(7)):
+            mids.append(0.5 * (x + y))
+            ends += [(x, mids[-1]), (mids[-1], y)]
+        s, u = model(mids)
+        h = 0
+        while h < 7 and b - a > DEFAULT.bisection:
+            if sign(table(rows([mids[h]])[1])[:, 2] if u[h] else s[:, h:h + 1])[0] in (sign_a, 0):
+                a, h = mids[h], 2 * h + 2
+            else:
+                b, h = mids[h], 2 * h + 1
     p_star = 0.5 * (a + b)
     f_star = fidelity_with_pure(apply_noise(state0, noise, p_star), ghz_state(n))
     return CrossingResult(p_star, f_star, noise, n)

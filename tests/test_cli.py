@@ -24,6 +24,7 @@ from entsig import (
     predicted_counts,
 )
 import entsig
+import entsig.cli as cli
 import entsig.significance as significance
 from entsig.cli import build_parser, main
 
@@ -684,6 +685,40 @@ class TestParser:
     def test_state_defaults_are_the_ansatz_defaults(self, command):
         args = build_parser().parse_args([command])
         assert AnsatzParams(args.alpha, args.beta, args.gamma, args.lam) == AnsatzParams()
+
+
+class TestCachedParser:
+    # main parses with one parser per process; argparse reads the terminal
+    # width when it formats help, so a parser built at one width helps at another
+    @staticmethod
+    def help_text(capsys, parse, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    def test_help_matches_a_fresh_parser(self, capsys, monkeypatch):
+        cli._parser.cache_clear()
+        monkeypatch.setenv("COLUMNS", "90")
+        cli._parser()  # built at width 90
+        for columns in ("60", "120"):
+            monkeypatch.setenv("COLUMNS", columns)
+            for argv in [["--help"]] + [[command, "--help"] for command in _COMMANDS]:
+                cached = self.help_text(capsys, main, argv)
+                assert cached == self.help_text(capsys, build_parser().parse_args, argv)
+                assert cached.startswith("usage: entsig")
+
+    def test_no_state_leaks_between_calls(self, capsys):
+        predicted = run_cli(capsys, "predict")
+        assert json.loads(predicted[1])["mode"] == "predicted"
+        assert json.loads(run_cli(capsys, "predict", "--seed", "5")[1])["mode"] == "sampled"
+        assert run_cli(capsys, "predict") == predicted
+
+    def test_built_once_per_process(self, capsys):
+        cli._parser.cache_clear()
+        for argv in (["improve"], ["predict", "--p", "0.1"], ["crossing", "--state", "ansatz"]):
+            assert run_cli(capsys, *argv)[0] == 0
+        assert (cli._parser.cache_info().misses, cli._parser.cache_info().hits) == (1, 2)  # one build_parser() call
 
 
 @pytest.mark.parametrize("command", ["crossing", "improve", "predict"])

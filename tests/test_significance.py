@@ -650,6 +650,28 @@ class TestCrossing:
         assert max(built) <= max(1, 2**12 // 4**n)
         assert len(plans) == 1
 
+    @pytest.mark.parametrize("noise, n, state, passes", [
+        ("bitflip", 4, None, 7),
+        ("white", 4, None, 7),
+        ("bitflip", 6, None, 10),
+        ("white", 6, None, 11),
+        ("bitflip", 4, "ansatz", 6),
+    ])
+    def test_estimate_passes_per_search(self, monkeypatch, noise, n, state, passes):
+        # the model runs on scan chunks of up to _MODEL_ENTRIES table entries
+        # (the whole 33-point grid at 4 qubits, 5 points at 6) and on the 7
+        # midpoints of three bisection levels at a time; each uncertified point
+        # is one more pass.  One point per pass took 15/17/34/39/14.
+        initial = experimental_ansatz(AnsatzParams()) if state else None
+        states, tables = [], []
+        noisy_stack, estimates = significance._noisy_stack, significance.setting_estimates
+        monkeypatch.setattr(significance, "_noisy_stack", lambda m, f, ps: states.append(len(ps)) or noisy_stack(m, f, ps))
+        monkeypatch.setattr(significance, "setting_estimates", lambda c, *a: tables.append(c.shape) or estimates(c, *a))
+        crossing_point(noise, n, initial_state=initial)
+        assert len(tables) == passes
+        assert max(states) * 4**n <= significance._SCAN_ENTRIES
+        assert all(g * s * d <= significance._MODEL_ENTRIES or g == 7 for g, s, d in tables)
+
     # the five paper crossings, and GHZ spans from 0, where S_M = inf at p = 0
     @example(n=4, noise="bitflip", kind="ghz", weight=1.0, span=None, shots=8000.0)
     @example(n=4, noise="white", kind="ghz", weight=1.0, span=None, shots=8000.0)
@@ -794,6 +816,16 @@ class TestCountTableIO:
     def test_largest_float_below_2_63_is_kept(self):
         count = 2**63 - 1024  # the largest float below 2**63
         assert CountTable("x", {"Z": [count, 2]}).for_setting("Z")[0] == count
+
+    @pytest.mark.parametrize("count", [2**53 + 1, 2**63 - 1])
+    def test_integer_counts_are_exact(self, count):
+        # integers are kept as given, not read through float64 (2**53 + 1 was 2**53)
+        table = CountTable("x", {"Z": [count, 0]})
+        assert table.for_setting("Z")[0] == count
+        data = json.loads(json.dumps(table.to_json_dict()))
+        assert data["settings"][0]["counts"][0] == count
+        del data["mode"]  # inferred from the counts
+        assert CountTable.from_json_dict(data).for_setting("Z")[0] == count
 
     def test_total_sums_in_floats(self):
         table = CountTable("x", {"Z": [4 * 10**18] * 3, "X": [2**62, 2**62]})
