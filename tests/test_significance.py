@@ -660,8 +660,9 @@ class TestCrossing:
     def test_estimate_passes_per_search(self, monkeypatch, noise, n, state, passes):
         # the model runs on scan chunks of up to _MODEL_ENTRIES table entries
         # (the whole 33-point grid at 4 qubits, 5 points at 6) and on the 7
-        # midpoints of three bisection levels at a time; each uncertified point
-        # is one more pass.  One point per pass took 15/17/34/39/14.
+        # midpoints of three bisection levels at a time; each exact call for
+        # uncertified points is one more pass.  One model point per pass took
+        # 15/17/34/39/14.
         initial = experimental_ansatz(AnsatzParams()) if state else None
         states, tables = [], []
         noisy_stack, estimates = significance._noisy_stack, significance.setting_estimates
