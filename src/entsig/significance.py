@@ -96,6 +96,9 @@ class CountTable:
             arr = np.asarray(vec, dtype=float)
             if arr.ndim != 1:
                 raise ValueError(f"counts for {label!r} must be a flat vector")
+            typed = isinstance(vec, np.ndarray) and vec.dtype.kind in "iuf"  # float() also reads "1" and True
+            if bad := [] if typed else [c for c in vec if isinstance(c, (str, bytes, bool, np.bool_))]:
+                raise ValueError(f"count {bad[0]!r} in setting {label!r} is not a number")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite count in setting {label!r}")
             if np.any(arr < 0):
@@ -514,11 +517,10 @@ def crossing_point(
     interpolated in the first barycentric form, give a model S everywhere.  Its
     sign is taken where |S_first - S_second| exceeds the sum of both S bounds
     (README, "Crossing search", steps 1-4); other points, and all if the model
-    raises, are evaluated exactly, so p* is the exact search's to the bit.  The
-    model runs on scan chunks of ``_MODEL_ENTRIES`` table entries and on the 7
-    midpoints of three bisection levels at once; the scan's uncertified points
-    are evaluated in order, ``_SCAN_ENTRIES`` state entries at a time, until the
-    first sign change is settled, and a bisection midpoint alone.
+    raises, are evaluated exactly (a scan point at a node takes its rows), so p*
+    is the exact search's to the bit.  The model runs on scan chunks of
+    ``_MODEL_ENTRIES`` table entries and on the bisection path predicted by the
+    secant of the bracket's S_first - S_second (README, "Batches").
     ``n`` defaults to the qubit count of ``ineqs``, 4 for the default pair.
     """
     if noise not in DEFAULT_SPAN:
@@ -543,6 +545,8 @@ def crossing_point(
         with contextlib.suppress(ValueError):  # refused nodes: NaN rows certify nothing
             node_rows = np.concatenate([rows(nodes[i:i + step].tolist())[1] for i in range(0, k, step)])
         eta = _gamma(d * d + 16 * n + 8) * np.linalg.norm(m0) + 2 * (d + 1) * DEFAULT.psd_clamp + abs(np.trace(m0).real - 1)  # step 1
+        # the largest node entry, the nodes' Lagrange denominators and which nodes have rows
+        top, denom, known = node_rows.max(), (nodes[:, None] - nodes + np.eye(k)).prod(axis=1), np.isfinite(node_rows).all(axis=(1, 2))
         # per inequality: its settings S, sum of max|coeff| + |bound|, S * sum of max|coeff|**2
         n_set, sum_l, sum_l2 = np.transpose([(q.n_settings, x.sum() + abs(q.lhv_bound), q.n_settings * (x * x).sum())
                                              for q, x in ((q, np.abs(q.outcome_coeffs).max(axis=1)) for q in (first, second))])[:, :, None]
@@ -554,10 +558,9 @@ def crossing_point(
         with np.errstate(all="ignore"), contextlib.suppress(ValueError):  # estimates that refuse the model certify nothing
             diff = ps[:, None] - nodes
             hit = diff == 0.0
-            lag = np.where(hit, 1.0, diff.prod(axis=1, keepdims=True) / np.where(hit, 1.0, diff)
-                           / (nodes[:, None] - nodes + np.eye(k)).prod(axis=1))
+            lag = np.where(hit, 1.0, diff.prod(axis=1, keepdims=True) / np.where(hit, 1.0, diff) / denom)
             leb, probs = np.abs(lag).sum(axis=1), np.maximum(np.tensordot(lag, node_rows, 1), 0.0)
-            d_delta = d * ((leb + 1) * eta + _gamma(5 * k) * leb * node_rows.max())  # step 2
+            d_delta = d * ((leb + 1) * eta + _gamma(5 * k) * leb * top)  # step 2
             tau = np.minimum(probs.sum(axis=-1).min(axis=-1) - d_delta, 1.0)
             big_d = (d_delta + g) / tau**2  # step 3
             e, s = table(probs)[:, 1:].transpose(1, 0, 2)
@@ -566,43 +569,54 @@ def crossing_point(
             unsure = ~((tau > 0.5) & np.all((e > de) & np.isfinite(err), axis=0) & (np.abs(s[0] - s[1]) > err.sum(axis=0)))
         return s, unsure
 
-    def sign(s) -> np.ndarray:
-        return (s[0] > s[1]).astype(int) - (s[0] < s[1])
+    def gap(s) -> np.ndarray:  # S_first - S_second: NaN, a tie, where both are one infinity
+        with np.errstate(all="ignore"):
+            return s[0] - s[1]
 
-    signs, unsure = np.zeros(0, dtype=int), np.zeros(0, dtype=bool)
+    def sign(g) -> np.ndarray:
+        return (g > 0).astype(int) - (g < 0)
+
+    gaps, unsure = np.zeros(0), np.zeros(0, dtype=bool)
     for start in range(0, grid.size, chunk):
         s, u = model(grid[start:start + chunk])
-        signs, unsure = np.append(signs, sign(s)), np.append(unsure, u)
+        gaps, unsure = np.append(gaps, gap(s)), np.append(unsure, u)
         while True:
             # first pair of neighbouring nonzero signs that differ before the first
             # uncertified point; ties are skipped
-            settled = signs[:np.append(unsure, True).argmax()]
+            settled = sign(gaps[:np.append(unsure, True).argmax()])
             nonzero = np.flatnonzero(settled)
             flips = np.flatnonzero(settled[nonzero[1:]] != settled[nonzero[:-1]])
-            if flips.size or settled.size == signs.size:
+            if flips.size or settled.size == gaps.size:
                 break
+            # the next uncertified points: nodes with rows take them, one kernel call builds the rest
             todo = np.flatnonzero(unsure)[:step]
-            signs[todo], unsure[todo] = sign(table(rows(grid[todo].tolist())[1])[:, 2]), False
+            hit = (grid[todo, None] == nodes) & known
+            probs, new = node_rows[hit.argmax(axis=1)], ~hit.any(axis=1)
+            if new.any():
+                probs[new] = rows(grid[todo[new]].tolist())[1]
+            gaps[todo], unsure[todo] = gap(table(probs)[:, 2]), False
         if flips.size:
             break
     else:
         raise NoCrossingError(f"significance difference does not change sign on [{lo:g}, {hi:g}] for {noise} noise")
     i, j = nonzero[flips[0]], nonzero[flips[0] + 1]
-    a, b, sign_a = float(grid[i]), float(grid[j]), signs[i]
+    (a, b), (g_a, g_b), sign_a = grid[[i, j]].tolist(), gaps[[i, j]], sign(gaps[i])
     while b - a > DEFAULT.bisection:
-        # the next three levels' 7 midpoints in one model call, node h's halves at
-        # 2h + 1 and 2h + 2, each from the endpoints the walk below reaches
-        ends, mids = [(a, b)], []
-        for x, y in (ends[h] for h in range(7)):
-            mids.append(0.5 * (x + y))
-            ends += [(x, mids[-1]), (mids[-1], y)]
-        s, u = model(mids)
-        h = 0
-        while h < 7 and b - a > DEFAULT.bisection:
-            if sign(table(rows([mids[h]])[1])[:, 2] if u[h] else s[:, h:h + 1])[0] in (sign_a, 0):
-                a, h = mids[h], 2 * h + 2
-            else:
-                b, h = mids[h], 2 * h + 1
+        # the midpoints the one-step loop visits if its signs follow the gaps' secant root r
+        # (the midpoint if r is not finite or not in [a, b]), at most max(7, chunk) per call
+        with np.errstate(all="ignore"):
+            r = a - g_a * (b - a) / (g_b - g_a)
+        r, path, x, y = r if a <= r <= b else 0.5 * (a + b), [], a, b
+        while y - x > DEFAULT.bisection and len(path) < max(7, chunk):
+            path.append(0.5 * (x + y))
+            x, y = (path[-1], y) if path[-1] <= r else (x, path[-1])
+        s, u = model(path)
+        for h, mid in enumerate(path):  # until the signs turn away from r
+            g_mid = gap(table(rows([mid])[1])[:, 2, 0] if u[h] else s[:, h])
+            left = sign(g_mid) in (sign_a, 0)
+            a, g_a, b, g_b = (mid, g_mid, b, g_b) if left else (a, g_a, mid, g_mid)
+            if left != (mid <= r):
+                break
     p_star = 0.5 * (a + b)
     f_star = fidelity_with_pure(apply_noise(state0, noise, p_star), ghz_state(n))
     return CrossingResult(p_star, f_star, noise, n)

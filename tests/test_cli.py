@@ -499,6 +499,19 @@ class TestCountRange:
         path.write_text(json.dumps(data))
         assert run_cli(capsys, "report", "--counts", str(path)) == (3, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("count, message", [
+        ("1", "count '1' in setting 'XXXX' is not a number"),
+        (True, "count True in setting 'XXXX' is not a number"),
+    ], ids=["string", "boolean"])
+    def test_string_or_boolean_count_is_data_error(self, tmp_path, capsys, mermin4, count, message):
+        # float() reads "1" and true as the count 1, so the table was evaluated
+        data = {"inequality": mermin4.name,
+                "settings": [{"label": s.label, "counts": [100] * 16} for s in mermin4.settings]}
+        data["settings"][0]["counts"][0] = count
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(data))
+        assert run_cli(capsys, "report", "--counts", str(path)) == (3, "", f"error: {message}\n")
+
     def test_total_past_int64_is_exact(self, tmp_path, capsys, mermin4):
         data = {"inequality": mermin4.name, "mode": "sampled",
                 "settings": [{"label": s.label, "counts": [4 * 10**18] * 16} for s in mermin4.settings]}

@@ -631,10 +631,11 @@ class TestCrossing:
         # an all-exact search builds 30-39 states: its coarse scan up to the
         # chunk that completes the first sign change, every bisection step and
         # the state at p*.  With signs from the certified model, a search builds
-        # the k = n + 1 (or 2) interpolation nodes, one exact fallback at p = 0
-        # for GHZ, where Mermin's error is exactly 0 and S = inf, and the state
-        # at p*: at most n + 3.  No call builds more than a scan chunk (2**12
-        # state entries), and the search builds one contraction plan.
+        # the k = n + 1 (or 2) interpolation nodes and the state at p*: at most
+        # n + 2.  For GHZ at p = 0, where Mermin's error is exactly 0 and S = inf,
+        # the exact fallback takes the rows of the node there.  No call builds
+        # more than a scan chunk (2**12 state entries), and the search builds one
+        # contraction plan.
         initial = experimental_ansatz(AnsatzParams()) if state else None
         built, plans = [], []
         noisy_stack, contraction_plan = significance._noisy_stack, significance._contraction_plan
@@ -646,41 +647,50 @@ class TestCrossing:
         plans.clear()
         result = crossing_point(noise, n, initial_state=initial)
         assert (result.p_star, result.fidelity_star) == expected
-        assert sum(built) == (n + 1 if noise == "bitflip" else 2) + (1 if state else 2) <= n + 3
+        assert sum(built) == (n + 1 if noise == "bitflip" else 2) + 1 <= n + 2
         assert max(built) <= max(1, 2**12 // 4**n)
         assert len(plans) == 1
 
-    @pytest.mark.parametrize("noise, n, state, passes", [
+    @pytest.mark.parametrize("noise, n, state, tree_passes", [
         ("bitflip", 4, None, 7),
         ("white", 4, None, 7),
         ("bitflip", 6, None, 10),
         ("white", 6, None, 11),
         ("bitflip", 4, "ansatz", 6),
     ])
-    def test_estimate_passes_per_search(self, monkeypatch, noise, n, state, passes):
+    def test_estimate_passes_per_search(self, monkeypatch, noise, n, state, tree_passes):
         # the model runs on scan chunks of up to _MODEL_ENTRIES table entries
-        # (the whole 33-point grid at 4 qubits, 5 points at 6) and on the 7
-        # midpoints of three bisection levels at a time; each exact call for
+        # (the whole 33-point grid at 4 qubits, 5 points at 6) and on the
+        # bisection path predicted from the bracket's gaps, up to the first
+        # midpoint that turns away from it, at most max(7, scan chunk) points at
+        # a time (the whole path at 4 qubits, 7 at 6); each exact call for
         # uncertified points is one more pass.  One model point per pass took
-        # 15/17/34/39/14.
+        # 15/17/34/39/14, and the 7 midpoints of three levels per call took
+        # tree_passes.
+        path_passes = {("bitflip", 4, None): 4, ("white", 4, None): 4, ("bitflip", 6, None): 7,
+                       ("white", 6, None): 9, ("bitflip", 4, "ansatz"): 3}[noise, n, state]
         initial = experimental_ansatz(AnsatzParams()) if state else None
         states, tables = [], []
         noisy_stack, estimates = significance._noisy_stack, significance.setting_estimates
         monkeypatch.setattr(significance, "_noisy_stack", lambda m, f, ps: states.append(len(ps)) or noisy_stack(m, f, ps))
         monkeypatch.setattr(significance, "setting_estimates", lambda c, *a: tables.append(c.shape) or estimates(c, *a))
         crossing_point(noise, n, initial_state=initial)
-        assert len(tables) == passes
+        assert len(tables) == path_passes < tree_passes
         assert max(states) * 4**n <= significance._SCAN_ENTRIES
-        assert all(g * s * d <= significance._MODEL_ENTRIES or g == 7 for g, s, d in tables)
+        assert all(g * s * d <= significance._MODEL_ENTRIES or g <= 7 for g, s, d in tables)
 
     # the five paper crossings, and GHZ spans from 0, where S_M = inf at p = 0
-    @example(n=4, noise="bitflip", kind="ghz", weight=1.0, span=None, shots=8000.0)
-    @example(n=4, noise="white", kind="ghz", weight=1.0, span=None, shots=8000.0)
-    @example(n=6, noise="bitflip", kind="ghz", weight=1.0, span=None, shots=8000.0)
-    @example(n=6, noise="white", kind="ghz", weight=1.0, span=None, shots=8000.0)
-    @example(n=4, noise="bitflip", kind="ansatz", weight=1.0, span=None, shots=8000.0)
-    @example(n=4, noise="bitflip", kind="ghz", weight=1.0, span=(0.0, 0.0872), shots=800.0)
-    @example(n=5, noise="white", kind="ghz", weight=1.0, span=(0.0, 1.0), shots=1e7)
+    @example(n=4, noise="bitflip", kind="ghz", weight=1.0, span=None, shots=8000.0, coarse=33)
+    @example(n=4, noise="white", kind="ghz", weight=1.0, span=None, shots=8000.0, coarse=33)
+    @example(n=6, noise="bitflip", kind="ghz", weight=1.0, span=None, shots=8000.0, coarse=33)
+    @example(n=6, noise="white", kind="ghz", weight=1.0, span=None, shots=8000.0, coarse=33)
+    @example(n=4, noise="bitflip", kind="ansatz", weight=1.0, span=None, shots=8000.0, coarse=33)
+    @example(n=4, noise="bitflip", kind="ghz", weight=1.0, span=(0.0, 0.0872), shots=800.0, coarse=33)
+    @example(n=5, noise="white", kind="ghz", weight=1.0, span=(0.0, 1.0), shots=1e7, coarse=33)
+    # crossings in the first grid interval of a GHZ span from 0: the bracket's
+    # end at p = 0 has S_M = inf, an infinite gap, so no secant predicts the path
+    @example(n=4, noise="bitflip", kind="ghz", weight=1.0, span=(0.0, 0.25), shots=8000.0, coarse=3)
+    @example(n=6, noise="white", kind="ghz", weight=1.0, span=None, shots=8000.0, coarse=2)
     @settings(deadline=None, max_examples=25)
     @given(
         n=st.integers(3, 6),
@@ -689,8 +699,9 @@ class TestCrossing:
         weight=st.floats(0, 1),
         span=st.none() | st.tuples(st.floats(0, 1), st.floats(0, 1)).map(sorted).filter(lambda s: s[0] < s[1]).map(tuple),
         shots=st.floats(1, 7).map(lambda x: 10.0**x),
+        coarse=st.integers(2, 65),
     )
-    def test_matches_exact_search(self, n, noise, kind, weight, span, shots):
+    def test_matches_exact_search(self, n, noise, kind, weight, span, shots, coarse):
         # every sign the model certifies is the exact sign, so p*, F* and the
         # NoCrossingError text are the all-exact search's, bit for bit
         assume(kind != "ansatz" or n == 4)
@@ -707,12 +718,42 @@ class TestCrossing:
             except NoCrossingError as exc:
                 return str(exc)
 
-        expected = outcome(lambda: exact_crossing(noise, n, state, shots, span, ineqs))
-        result = outcome(lambda: crossing_point(noise, n, state, shots, ineqs, span))
+        expected = outcome(lambda: exact_crossing(noise, n, state, shots, span, ineqs, coarse))
+        result = outcome(lambda: crossing_point(noise, n, state, shots, ineqs, span, coarse))
         if isinstance(result, str):
             assert result == expected
         else:
             assert (result.p_star.hex(), result.fidelity_star.hex()) == tuple(x.hex() for x in expected)
+
+    @pytest.mark.parametrize("noise, n", [("bitflip", 4), ("white", 4), ("bitflip", 6)])
+    def test_ties_inside_the_bracket_match_exact_search(self, monkeypatch, noise, n):
+        # the parity pair ties exactly only at q = 1, the span's end, so here
+        # S_second takes S_first's value wherever they are within 5 %, and the
+        # model certifies nothing (its rounding bounds are infinite): the scan's
+        # bracket spans tied grid points, tied midpoints (sign 0) move a, and
+        # the gap at a tied end is 0, so the path is predicted from a gap of 0.
+        # ``ties`` counts the tied one-point passes, the bisection's midpoints.
+        evaluator, ties = significance._sweep_evaluator, []
+
+        def tied(*args):
+            state0, grid, rows, table = evaluator(*args)
+
+            def table_with_ties(probs):
+                out = table(probs)
+                tie = np.abs(out[0, 2] - out[1, 2]) < 0.05 * np.abs(out[0, 2])
+                out[1, 2, tie] = out[0, 2, tie]
+                ties.append(tie.sum() if tie.size == 1 else 0)
+                return out
+            return state0, grid, rows, table_with_ties
+
+        monkeypatch.setattr(significance, "_sweep_evaluator", tied)
+        monkeypatch.setattr(significance, "_gamma", lambda m: math.inf)
+        expected = exact_crossing(noise, n, None, 8000.0, None, (mermin(n), ardehali(n)))
+        assert sum(ties) > 0  # the exact search meets tied midpoints
+        ties.clear()
+        result = crossing_point(noise, n)
+        assert sum(ties) > 0
+        assert (result.p_star.hex(), result.fidelity_star.hex()) == tuple(x.hex() for x in expected)
 
 
 def parity_pair(n):
@@ -730,13 +771,13 @@ def parity_pair(n):
     return tuple(dataclasses.replace(q, lhv_bound=lhv_bound_bruteforce(q)) for q in pair)
 
 
-def exact_crossing(noise, n, state, shots, span, ineqs):
+def exact_crossing(noise, n, state, shots, span, ineqs, coarse=33):
     """Reference: ``crossing_point``'s coarse scan and bisection with every sign
     evaluated exactly by one ``_sweep_evaluator`` chunk, as the search ran before
     its sign model.  Returns (p*, F*)."""
     lo, hi = span or DEFAULT_SPAN[noise]
     state = significance._as_initial_state(state, n)
-    _, grid, rows, table = significance._sweep_evaluator(ineqs, noise, np.linspace(lo, hi, 33), state, shots)
+    _, grid, rows, table = significance._sweep_evaluator(ineqs, noise, np.linspace(lo, hi, coarse), state, shots)
     step = max(1, significance._SCAN_ENTRIES // 4**n)
 
     def signs_at(ps):
@@ -827,6 +868,21 @@ class TestCountTableIO:
         assert data["settings"][0]["counts"][0] == count
         del data["mode"]  # inferred from the counts
         assert CountTable.from_json_dict(data).for_setting("Z")[0] == count
+
+    @pytest.mark.parametrize("counts, bad", [
+        ('["1", true]', "'1'"), ("[1, true]", "True"), ("[false, 0]", "False"), ('[2, "3.5"]', "'3.5'"),
+    ])
+    @pytest.mark.parametrize("mode", [None, "sampled", "predicted"])
+    def test_strings_and_booleans_are_not_counts(self, counts, bad, mode):
+        # float() reads numeric strings and booleans: ["1", true] was the sampled counts [1, 1]
+        data = {"inequality": "x", "settings": [{"label": "Z", "counts": json.loads(counts)}]}
+        if mode:
+            data["mode"] = mode
+        message = rf"^count {re.escape(bad)} in setting 'Z' is not a number$"
+        with pytest.raises(ValueError, match=message):
+            CountTable.from_json_dict(data)
+        with pytest.raises(ValueError, match=message):
+            CountTable("x", {"Z": json.loads(counts)}, mode or "sampled")
 
     def test_total_sums_in_floats(self):
         table = CountTable("x", {"Z": [4 * 10**18] * 3, "X": [2**62, 2**62]})
