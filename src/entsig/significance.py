@@ -31,11 +31,9 @@ NOISE_FAMILIES = tuple(_NOISE)
 DEFAULT_SPAN = {"bitflip": (0.0, 0.25), "white": (0.0, 0.9)}
 # state entries per chunk of (G, d, d) states: a sweep evaluates every point, so its
 # chunks are big and few (64 points at 4 qubits, 4 at 6); a crossing evaluates only its
-# model's nodes and the points the model cannot certify, in small chunks (16 points and 1),
-# and scans with its model in chunks of model-table entries (all 33 points and 5)
+# model's nodes and the points the model cannot certify, in small chunks (16 points and 1)
 _SWEEP_ENTRIES = 2**14
 _SCAN_ENTRIES = 2**12
-_MODEL_ENTRIES = 2**15
 # count entries of a call's largest table per Monte Carlo block: 128 trials for the
 # 4-qubit pair, 256 for Mermin alone, 8 at 6 qubits; 0.4 MB of float64 counts at 4 qubits
 _BLOCK_COUNTS = 2**15
@@ -497,6 +495,32 @@ class CrossingResult:
     n_qubits: int
 
 
+def _moment_model(ps, nodes, moments, ineqs, copies, terms, eta):
+    """Model S of the pair ``ineqs`` at the noise strengths ``ps``, its (2, G) bounds on
+    |S_model - S_exact| and the mask of the points it cannot certify (README, "Crossing search",
+    steps 2-4), from the (k, 3, S) sums B, A, C of the exact rows at the ``nodes`` against 1, lambda
+    and lambda**2: M = A/B and E**2 = (C/B - M**2)/(cB) for c ``copies``, and ``terms`` holds step 3's
+    (4, 2, 1) constants.  It never raises or warns; a point with a value not finite is not certified."""
+    ps, k, d, cut = np.asarray(ps, dtype=float), len(nodes), 2 ** ineqs[0].n_qubits, ineqs[0].n_settings
+    g, halves = 2 * _gamma(2 * (d + max(cut, ineqs[1].n_settings)) + 16), (slice(cut), slice(cut, None))
+    with np.errstate(all="ignore"):
+        # the Lagrange basis as products of ratios (x - x_m)/(x_j - x_m): each keeps its relative accuracy
+        # where x - x_m is subnormal (README, step 2)
+        lag = np.where(np.eye(k, dtype=bool), 1.0, (ps[:, None] - nodes)[:, None, :] / (nodes[:, None] - nodes)).prod(axis=2)
+        leb, (b, a, c) = np.abs(lag).sum(axis=1), np.tensordot(lag, moments, 1).transpose(1, 0, 2)
+        mean = a / b
+        err = np.sqrt((c / b - mean * mean) / (copies * b))  # NaN where the difference rounds below 0
+        v, e = np.array([_combine(mean[:, at], err[:, at], q.lhv_bound) for q, at in zip(ineqs, halves)]).transpose(1, 0, 2)
+        s = _significance_of(v, e)[0]
+        delta = d * (leb + 1) * eta + _gamma(2 * d + 5 * k + 2) * leb * moments[:, 0].max()  # step 2
+        tau = np.minimum(b.min(axis=1) - delta, 1 - 2 * delta)
+        big_d = (delta + g) / tau**2  # step 3
+        de = (big_d * terms[2] + terms[3]) / e + g * e
+        bound = (2 * big_d * terms[0] + terms[1] + np.abs(s) * de) / (e - de) + g * np.abs(s)
+        unsure = ~((tau > 0.5) & np.all((e > de) & np.isfinite(bound), axis=0) & (np.abs(s[0] - s[1]) > bound.sum(axis=0)))
+    return s, bound, unsure
+
+
 def crossing_point(
     noise: str,
     n: int | None = None,
@@ -508,66 +532,48 @@ def crossing_point(
 ) -> CrossingResult:
     """Locate where the two inequalities swap significance order.
 
-    Scans a coarse grid up to the first sign change of S_first - S_second
-    (infinities compare as larger than any finite value; ties are skipped),
-    then bisects the bracket down to the configured noise-parameter
+    Scans a ``coarse``-point grid up to the first sign change of S_first -
+    S_second (infinities compare as larger than any finite value; ties are
+    skipped), then bisects the bracket down to the configured noise-parameter
     resolution; ``span`` defaults to the family's ``DEFAULT_SPAN``.  Outcome
     probabilities are polynomials in the noise strength (degree n for bit-flip,
-    1 for white noise): exact rows at k = n + 1 (or 2) Chebyshev-Lobatto nodes,
-    interpolated in the first barycentric form, give a model S everywhere.  Its
-    sign is taken where |S_first - S_second| exceeds the sum of both S bounds
-    (README, "Crossing search", steps 1-4); other points, and all if the model
-    raises, are evaluated exactly (a scan point at a node takes its rows), so p*
-    is the exact search's to the bit.  The model runs on scan chunks of
-    ``_MODEL_ENTRIES`` table entries and on the bisection path predicted by the
-    secant of the bracket's S_first - S_second (README, "Batches").
-    ``n`` defaults to the qubit count of ``ineqs``, 4 for the default pair.
+    1 for white noise), so each setting's sums of its row against 1, lambda and
+    lambda**2 are too: interpolated from k = n + 1 (or 2) Chebyshev-Lobatto
+    nodes, they give a model S everywhere (``_moment_model``).  Its sign is
+    taken where it is certified (README, "Crossing search"); other points are
+    evaluated exactly (a scan point at a node takes its rows), so p* is the
+    exact search's to the bit.  The model runs once on the whole grid and once
+    per bisection path predicted by the secant of the bracket's S_first -
+    S_second.  ``n`` defaults to the qubit count of ``ineqs``, 4 for the default pair.
     """
     if noise not in DEFAULT_SPAN:
         raise ValueError(f"unknown noise family {noise!r}; expected one of {NOISE_FAMILIES}")
-    if ineqs is None:
-        ineqs = (mermin(4 if n is None else n), ardehali(4 if n is None else n))
-    first, second = ineqs
+    first, second = ineqs = (mermin(4 if n is None else n), ardehali(4 if n is None else n)) if ineqs is None else ineqs
     if n not in (None, first.n_qubits):
         raise ValueError(f"n = {n} does not match the inequalities' {first.n_qubits} qubits")
     n = first.n_qubits
-    if span is None:
-        span = DEFAULT_SPAN[noise]
-    lo, hi = span
+    lo, hi = span = DEFAULT_SPAN[noise] if span is None else span
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"invalid search span {span!r}")
+    if isinstance(coarse, (bool, np.bool_)) or not isinstance(coarse, (int, np.integer)) or coarse < 0:
+        raise ValueError(f"coarse must be a non-negative integer, got {coarse!r}")
     state0, grid, rows, table = _sweep_evaluator(ineqs, noise, np.linspace(lo, hi, coarse), initial_state, total_copies)
     step, d, k = max(1, _SCAN_ENTRIES // 4**n), 2**n, n + 1 if noise == "bitflip" else 2
-    chunk = max(1, _MODEL_ENTRIES // ((first.n_settings + second.n_settings) * d))
     nodes = np.minimum(lo + (hi - lo) * (0.5 - 0.5 * np.cos(np.pi * np.arange(k) / (k - 1))), hi)
-    node_rows, m0 = np.full((k, first.n_settings + second.n_settings, d), np.nan), state0.matrix
+    coeffs, m0, spread = np.concatenate([first.outcome_coeffs, second.outcome_coeffs]), state0.matrix, DEFAULT.coeff_spread
+    node_rows, copies, terms = np.full((k,) + coeffs.shape, np.nan), [], []
     with np.errstate(all="ignore"):  # the model never warns: what it cannot bound is evaluated exactly
         with contextlib.suppress(ValueError):  # refused nodes: NaN rows certify nothing
             node_rows = np.concatenate([rows(nodes[i:i + step].tolist())[1] for i in range(0, k, step)])
+        moments = np.einsum("kso,wso->kws", node_rows, coeffs ** np.arange(3.0)[:, None, None])
         eta = _gamma(d * d + 16 * n + 8) * np.linalg.norm(m0) + 2 * (d + 1) * DEFAULT.psd_clamp + abs(np.trace(m0).real - 1)  # step 1
-        # the largest node entry, the nodes' Lagrange denominators and which nodes have rows
-        top, denom, known = node_rows.max(), (nodes[:, None] - nodes + np.eye(k)).prod(axis=1), np.isfinite(node_rows).all(axis=(1, 2))
-        # per inequality: its settings S, sum of max|coeff| + |bound|, S * sum of max|coeff|**2
-        n_set, sum_l, sum_l2 = np.transpose([(q.n_settings, x.sum() + abs(q.lhv_bound), q.n_settings * (x * x).sum())
-                                             for q, x in ((q, np.abs(q.outcome_coeffs).max(axis=1)) for q in (first, second))])[:, :, None]
-    g, spread = 2 * _gamma(2 * (d + int(n_set.max())) + 16), DEFAULT.coeff_spread
-
-    def model(ps):
-        """Model S_first and S_second at ``ps``, and the mask of the points it cannot certify."""
-        ps, s, unsure = np.array(ps, dtype=float), np.zeros((2, len(ps))), np.ones(len(ps), dtype=bool)
-        with np.errstate(all="ignore"), contextlib.suppress(ValueError):  # estimates that refuse the model certify nothing
-            diff = ps[:, None] - nodes
-            hit = diff == 0.0
-            lag = np.where(hit, 1.0, diff.prod(axis=1, keepdims=True) / np.where(hit, 1.0, diff) / denom)
-            leb, probs = np.abs(lag).sum(axis=1), np.maximum(np.tensordot(lag, node_rows, 1), 0.0)
-            d_delta = d * ((leb + 1) * eta + _gamma(5 * k) * leb * top)  # step 2
-            tau = np.minimum(probs.sum(axis=-1).min(axis=-1) - d_delta, 1.0)
-            big_d = (d_delta + g) / tau**2  # step 3
-            e, s = table(probs)[:, 1:].transpose(1, 0, 2)
-            de = (9 * big_d * sum_l2 + (n_set * spread) ** 2) / total_copies / e + g * e
-            err = (2 * big_d * sum_l + 2 * n_set * spread + np.abs(s) * de) / (e - de) + g * np.abs(s)
-            unsure = ~((tau > 0.5) & np.all((e > de) & np.isfinite(err), axis=0) & (np.abs(s[0] - s[1]) > err.sum(axis=0)))
-        return s, unsure
+        for q in ineqs:  # step 3's constants for S settings of c copies each, L the largest |coefficient| of a setting
+            lam, c, n_set = np.abs(q.outcome_coeffs).max(axis=1), total_copies / q.n_settings, q.n_settings
+            # infinite where a total, sum or error of the exact estimate pass can leave the float range (step 4)
+            fits = 16 * np.finfo(float).tiny <= c * c and 16 * (1 + lam.max() ** 2) * max(c * c, 1 / c) < np.inf
+            terms.append([lam.sum() + abs(q.lhv_bound) if fits else np.inf, 2 * n_set * spread, 9 * lam @ lam / c, n_set * spread**2 / c])
+            copies += [c] * n_set
+    model = (nodes, moments, ineqs, np.array(copies), np.transpose(terms)[:, :, None], eta)
 
     def gap(s) -> np.ndarray:  # S_first - S_second: NaN, a tie, where both are one infinity
         with np.errstate(all="ignore"):
@@ -576,41 +582,36 @@ def crossing_point(
     def sign(g) -> np.ndarray:
         return (g > 0).astype(int) - (g < 0)
 
-    gaps, unsure = np.zeros(0), np.zeros(0, dtype=bool)
-    for start in range(0, grid.size, chunk):
-        s, u = model(grid[start:start + chunk])
-        gaps, unsure = np.append(gaps, gap(s)), np.append(unsure, u)
-        while True:
-            # first pair of neighbouring nonzero signs that differ before the first
-            # uncertified point; ties are skipped
-            settled = sign(gaps[:np.append(unsure, True).argmax()])
-            nonzero = np.flatnonzero(settled)
-            flips = np.flatnonzero(settled[nonzero[1:]] != settled[nonzero[:-1]])
-            if flips.size or settled.size == gaps.size:
-                break
-            # the next uncertified points: nodes with rows take them, one kernel call builds the rest
-            todo = np.flatnonzero(unsure)[:step]
-            hit = (grid[todo, None] == nodes) & known
-            probs, new = node_rows[hit.argmax(axis=1)], ~hit.any(axis=1)
-            if new.any():
-                probs[new] = rows(grid[todo[new]].tolist())[1]
-            gaps[todo], unsure[todo] = gap(table(probs)[:, 2]), False
-        if flips.size:
+    s, _, unsure = _moment_model(grid, *model)
+    gaps = gap(s)
+    while True:
+        # first pair of neighbouring nonzero signs that differ before the first uncertified point; ties are skipped
+        settled = sign(gaps[:np.append(unsure, True).argmax()])
+        nonzero = np.flatnonzero(settled)
+        flips = np.flatnonzero(settled[nonzero[1:]] != settled[nonzero[:-1]])
+        if flips.size or settled.size == gaps.size:
             break
-    else:
+        # the next uncertified points: nodes with rows take them, one kernel call builds the rest
+        todo = np.flatnonzero(unsure)[:step]
+        hit = (grid[todo, None] == nodes) & np.isfinite(node_rows).all(axis=(1, 2))
+        probs, new = node_rows[hit.argmax(axis=1)], ~hit.any(axis=1)
+        if new.any():
+            probs[new] = rows(grid[todo[new]].tolist())[1]
+        gaps[todo], unsure[todo] = gap(table(probs)[:, 2]), False
+    if not flips.size:
         raise NoCrossingError(f"significance difference does not change sign on [{lo:g}, {hi:g}] for {noise} noise")
     i, j = nonzero[flips[0]], nonzero[flips[0] + 1]
     (a, b), (g_a, g_b), sign_a = grid[[i, j]].tolist(), gaps[[i, j]], sign(gaps[i])
     while b - a > DEFAULT.bisection:
-        # the midpoints the one-step loop visits if its signs follow the gaps' secant root r
-        # (the midpoint if r is not finite or not in [a, b]), at most max(7, chunk) per call
+        # one model call on the midpoints the one-step loop visits if its signs follow the gaps' secant root r
+        # (the midpoint if r is not finite or not in [a, b])
         with np.errstate(all="ignore"):
             r = a - g_a * (b - a) / (g_b - g_a)
         r, path, x, y = r if a <= r <= b else 0.5 * (a + b), [], a, b
-        while y - x > DEFAULT.bisection and len(path) < max(7, chunk):
+        while y - x > DEFAULT.bisection:
             path.append(0.5 * (x + y))
             x, y = (path[-1], y) if path[-1] <= r else (x, path[-1])
-        s, u = model(path)
+        s, _, u = _moment_model(path, *model)
         for h, mid in enumerate(path):  # until the signs turn away from r
             g_mid = gap(table(rows([mid])[1])[:, 2, 0] if u[h] else s[:, h])
             left = sign(g_mid) in (sign_a, 0)
@@ -618,8 +619,7 @@ def crossing_point(
             if left != (mid <= r):
                 break
     p_star = 0.5 * (a + b)
-    f_star = fidelity_with_pure(apply_noise(state0, noise, p_star), ghz_state(n))
-    return CrossingResult(p_star, f_star, noise, n)
+    return CrossingResult(p_star, fidelity_with_pure(apply_noise(state0, noise, p_star), ghz_state(n)), noise, n)
 
 
 @dataclass(frozen=True)

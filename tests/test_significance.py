@@ -1,7 +1,9 @@
+import contextlib
 import dataclasses
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -612,6 +614,14 @@ class TestCrossing:
         with pytest.raises(NoCrossingError):
             crossing_point("bitflip", 4, coarse=1)
 
+    @pytest.mark.parametrize("coarse", [-1, True, False, np.True_, 2.5, 33.0, "33", None])
+    def test_coarse_must_be_a_non_negative_integer(self, coarse):
+        with pytest.raises(ValueError, match=r"^coarse must be a non-negative integer, got "):
+            crossing_point("bitflip", 4, coarse=coarse)
+
+    def test_numpy_integer_coarse_is_an_integer(self):
+        assert crossing_point("bitflip", 4, coarse=np.int64(33)) == crossing_point("bitflip", 4)
+
     def test_qubit_count_comes_from_the_inequalities(self):
         # n defaults to the inequalities' qubit count, 4 for the default pair
         six = (mermin(6), ardehali(6))
@@ -659,25 +669,68 @@ class TestCrossing:
         ("bitflip", 4, "ansatz", 6),
     ])
     def test_estimate_passes_per_search(self, monkeypatch, noise, n, state, tree_passes):
-        # the model runs on scan chunks of up to _MODEL_ENTRIES table entries
-        # (the whole 33-point grid at 4 qubits, 5 points at 6) and on the
+        # the moment model runs once on the whole coarse grid and once on each
         # bisection path predicted from the bracket's gaps, up to the first
-        # midpoint that turns away from it, at most max(7, scan chunk) points at
-        # a time (the whole path at 4 qubits, 7 at 6); each exact call for
+        # midpoint that turns away from it; each exact estimate pass for
         # uncertified points is one more pass.  One model point per pass took
-        # 15/17/34/39/14, and the 7 midpoints of three levels per call took
-        # tree_passes.
-        path_passes = {("bitflip", 4, None): 4, ("white", 4, None): 4, ("bitflip", 6, None): 7,
-                       ("white", 6, None): 9, ("bitflip", 4, "ansatz"): 3}[noise, n, state]
+        # 15/17/34/39/14, the 7 midpoints of three levels per call took
+        # tree_passes, and model probability rows in scan chunks of 2**15 table
+        # entries (5 points at 6 qubits) with paths of at most 7 points there
+        # took chunk_passes.  At 4 qubits those chunks and paths already held
+        # the whole grid and path.
+        chunk_passes = {("bitflip", 4, None): 4, ("white", 4, None): 4, ("bitflip", 6, None): 7,
+                        ("white", 6, None): 9, ("bitflip", 4, "ansatz"): 3}[noise, n, state]
+        moment_passes = {("bitflip", 4, None): 4, ("white", 4, None): 4, ("bitflip", 6, None): 4,
+                         ("white", 6, None): 4, ("bitflip", 4, "ansatz"): 3}[noise, n, state]
         initial = experimental_ansatz(AnsatzParams()) if state else None
-        states, tables = [], []
-        noisy_stack, estimates = significance._noisy_stack, significance.setting_estimates
+        states, models, tables = [], [], []
+        noisy_stack, model, estimates = significance._noisy_stack, significance._moment_model, significance.setting_estimates
         monkeypatch.setattr(significance, "_noisy_stack", lambda m, f, ps: states.append(len(ps)) or noisy_stack(m, f, ps))
+        monkeypatch.setattr(significance, "_moment_model", lambda ps, *a: models.append(len(ps)) or model(ps, *a))
         monkeypatch.setattr(significance, "setting_estimates", lambda c, *a: tables.append(c.shape) or estimates(c, *a))
         crossing_point(noise, n, initial_state=initial)
-        assert len(tables) == path_passes < tree_passes
+        assert len(models) + len(tables) == moment_passes <= chunk_passes < tree_passes
+        assert models[0] == 33 > max(models[1:])  # one scan call, on the whole grid; the rest are paths
         assert max(states) * 4**n <= significance._SCAN_ENTRIES
-        assert all(g * s * d <= significance._MODEL_ENTRIES or g <= 7 for g, s, d in tables)
+
+    # the paper searches' spans, and a GHZ span from 0, where S_M = inf at p = 0
+    @example(n=4, noise="bitflip", kind="ghz", weight=1.0, span=None, shots=8000.0, at=[0.0, 0.34, 0.345, 1.0])
+    @example(n=6, noise="white", kind="ghz", weight=1.0, span=None, shots=8000.0, at=[0.0, 0.66, 0.664, 1.0])
+    @example(n=4, noise="bitflip", kind="ansatz", weight=1.0, span=None, shots=8000.0, at=[0.12, 0.125])
+    @example(n=6, noise="bitflip", kind="mixed", weight=0.9, span=(0.0, 1.0), shots=1e7, at=[0.1, 0.5, 0.9])
+    @settings(deadline=None, max_examples=30)
+    @given(
+        n=st.sampled_from([4, 6]),
+        noise=st.sampled_from(NOISE_FAMILIES),
+        kind=st.sampled_from(["ghz", "ansatz", "mixed"]),
+        weight=st.floats(0, 1),
+        span=st.none() | st.tuples(st.floats(0, 1), st.floats(0, 1)).map(sorted).filter(lambda s: s[0] < s[1]).map(tuple),
+        shots=st.floats(1, 7).map(lambda x: 10.0**x),
+        at=st.lists(st.floats(0, 1), min_size=1, max_size=8),
+    )
+    def test_model_bound_holds_where_certified(self, n, noise, kind, weight, span, shots, at):
+        # wherever the moment model certifies a point, |S_model - S_exact| of each
+        # inequality is at most its bound, with S_exact from the exact rows and
+        # estimate pass; the search constants are those of the search's scan call
+        assume(kind != "ansatz" or n == 4)
+        if kind == "ansatz":
+            state = experimental_ansatz(AnsatzParams())
+        else:
+            mixed = random_density(np.random.default_rng(n), n).matrix
+            state = DensityMatrix(n, weight * ghz_state(n).projector() + (1 - weight) * mixed if kind == "mixed" else ghz_state(n).projector())
+        ineqs = (mermin(n), ardehali(n))
+        with mock.patch.object(significance, "_moment_model", wraps=significance._moment_model) as model:
+            with contextlib.suppress(NoCrossingError):
+                crossing_point(noise, n, state, shots, ineqs, span)
+        lo, hi = span or DEFAULT_SPAN[noise]
+        ps = np.minimum(lo + (hi - lo) * np.array(at), hi)
+        search = model.call_args_list[0].args[1:]
+        s, bound, unsure = significance._moment_model(ps, *search)
+        _, _, rows, table = significance._sweep_evaluator(ineqs, noise, ps, state, shots)
+        exact = table(rows(ps.tolist())[1])[:, 2]
+        assert np.all(np.abs(s[:, ~unsure] - exact[:, ~unsure]) <= bound[:, ~unsure])
+        if span is None and kind == "ghz":  # the paper searches certify every scan point but p = 0
+            assert not significance._moment_model(np.linspace(lo, hi, 33)[1:], *search)[2].any()
 
     # the five paper crossings, and GHZ spans from 0, where S_M = inf at p = 0
     @example(n=4, noise="bitflip", kind="ghz", weight=1.0, span=None, shots=8000.0, coarse=33)
