@@ -693,7 +693,8 @@ class TestCrossing:
         assert models[0] == 33 > max(models[1:])  # one scan call, on the whole grid; the rest are paths
         assert max(states) * 4**n <= significance._SCAN_ENTRIES
 
-    # the paper searches' spans, and a GHZ span from 0, where S_M = inf at p = 0
+    # points at and next to three paper crossings (p = 0 of a GHZ span has S_M = inf),
+    # and a mixed state on the whole range at 1e7 shots
     @example(n=4, noise="bitflip", kind="ghz", weight=1.0, span=None, shots=8000.0, at=[0.0, 0.34, 0.345, 1.0])
     @example(n=6, noise="white", kind="ghz", weight=1.0, span=None, shots=8000.0, at=[0.0, 0.66, 0.664, 1.0])
     @example(n=4, noise="bitflip", kind="ansatz", weight=1.0, span=None, shots=8000.0, at=[0.12, 0.125])
