@@ -237,18 +237,17 @@ def cmd_improve(args) -> str:
     psi = PureState(args.qubits, amp / norm)
     w = projector_witness(args.qubits)
     result = exact_improvement(psi, w, args.a, args.b)
+    s_before, s_after = result.significance_before.significance, result.significance_after.significance
     payload = {
         "witness": w.name,
         "state": {"c0": args.c0, "c1": args.c1, "normalization": norm},
         "expectation_after": result.expectation_after,
         "deviation_after": result.deviation_after,
         "eigen_residual": result.eigen_residual,
-        "significance_before": result.significance_before.significance,
-        "significance_after": result.significance_after.significance,
+        "significance_before": s_before,
+        "significance_after": s_after,
         "added_operator_psd": separable_safety_check(result.improved_witness, w),
     }
-    s_before = result.significance_before.significance
-    s_after = result.significance_after.significance
     sys.stdout.write(f"S before = {_fmt(s_before)}  S after = {_fmt(s_after)}\n")
     return _dump_json(payload)
 

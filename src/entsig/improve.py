@@ -36,8 +36,16 @@ class ImprovementResult:
 
 
 def _pure_stats(psi: PureState, w: Witness) -> tuple[float, float]:
-    mean = expectation(psi, w.matrix)
-    dev = math.sqrt(variance(psi, w.matrix))
+    return expectation(psi, w.matrix), math.sqrt(variance(psi, w.matrix))
+
+
+def _improvable_stats(psi: PureState, w: Witness) -> tuple[float, float]:
+    """``_pure_stats`` of a state the witness detects and that is not yet its eigenstate."""
+    mean, dev = _pure_stats(psi, w)
+    if mean >= 0:
+        raise ValueError(f"state is not detected by the witness (<W> = {mean:.6g} >= 0)")
+    if dev <= DEFAULT.min_deviation:
+        raise ValueError("psi is already an eigenstate of the witness; nothing to improve")
     return mean, dev
 
 
@@ -71,11 +79,7 @@ def perturbative_step(psi: PureState, w: Witness, gamma: float) -> ImprovementRe
     minimal-eigenvalue eigenvector of Q.  Increases S for small enough gamma."""
     if not 0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
-    mean, dev = _pure_stats(psi, w)
-    if mean >= 0:
-        raise ValueError(f"state is not detected by the witness (<W> = {mean:.6g} >= 0)")
-    if dev <= DEFAULT.min_deviation:
-        raise ValueError("psi is already an eigenstate of the witness; nothing to improve")
+    _improvable_stats(psi, w)
     q = q_operator(DensityMatrix.from_pure(psi), w)
     _, vecs = hermitian_eig(q)
     phi = vecs[:, 0]  # minimal eigenvalue first
@@ -97,11 +101,7 @@ def exact_improvement(
     stays detected).  The resulting variance-model error vanishes, so the
     significance is reported as the flagged infinity.
     """
-    mean, dev = _pure_stats(psi, w)
-    if mean >= 0:
-        raise ValueError(f"state is not detected by the witness (<W> = {mean:.6g} >= 0)")
-    if dev <= DEFAULT.min_deviation:
-        raise ValueError("psi is already an eigenstate of the witness; nothing to improve")
+    mean, dev = _improvable_stats(psi, w)
     if a is None:
         a = -mean / 2.0
     if not 0 < a < math.inf:

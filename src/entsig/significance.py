@@ -495,6 +495,24 @@ class CrossingResult:
     n_qubits: int
 
 
+def _moment_constants(nodes, node_rows, ineqs, m0, total_copies: float):
+    """``_moment_model``'s arguments after ``ps`` for a search of the pair ``ineqs`` from the initial state
+    matrix ``m0``: the (k, 3, S) moments of the exact ``node_rows`` at the ``nodes``, each setting's copies,
+    step 3's constants and step 1's eta (README, "Crossing search", steps 1-4).  It never warns."""
+    n, spread, copies, terms = ineqs[0].n_qubits, DEFAULT.coeff_spread, [], []
+    d, coeffs = 2**n, np.concatenate([q.outcome_coeffs for q in ineqs])
+    with np.errstate(all="ignore"):
+        moments = np.einsum("kso,wso->kws", node_rows, coeffs ** np.arange(3.0)[:, None, None])
+        eta = _gamma(d * d + 16 * n + 8) * np.linalg.norm(m0) + 2 * (d + 1) * DEFAULT.psd_clamp + abs(np.trace(m0).real - 1)  # step 1
+        for q in ineqs:  # step 3's constants for S settings of c copies each, L the largest |coefficient| of a setting
+            lam, c, n_set = np.abs(q.outcome_coeffs).max(axis=1), total_copies / q.n_settings, q.n_settings
+            # infinite where a total, sum or error of the exact estimate pass can leave the float range (step 4)
+            fits = 16 * np.finfo(float).tiny <= c * c and 16 * (1 + lam.max() ** 2) * max(c * c, 1 / c) < np.inf
+            terms.append([lam.sum() + abs(q.lhv_bound) if fits else np.inf, 2 * n_set * spread, 9 * lam @ lam / c, n_set * spread**2 / c])
+            copies += [c] * n_set
+    return nodes, moments, ineqs, np.array(copies), np.transpose(terms)[:, :, None], eta
+
+
 def _moment_model(ps, nodes, moments, ineqs, copies, terms, eta):
     """Model S of the pair ``ineqs`` at the noise strengths ``ps``, its (2, G) bounds on
     |S_model - S_exact| and the mask of the points it cannot certify (README, "Crossing search",
@@ -530,50 +548,30 @@ def crossing_point(
     span: tuple[float, float] | None = None,
     coarse: int = 33,
 ) -> CrossingResult:
-    """Locate where the two inequalities swap significance order.
-
-    Scans a ``coarse``-point grid up to the first sign change of S_first -
-    S_second (infinities compare as larger than any finite value; ties are
-    skipped), then bisects the bracket down to the configured noise-parameter
-    resolution; ``span`` defaults to the family's ``DEFAULT_SPAN``.  Outcome
-    probabilities are polynomials in the noise strength (degree n for bit-flip,
-    1 for white noise), so each setting's sums of its row against 1, lambda and
-    lambda**2 are too: interpolated from k = n + 1 (or 2) Chebyshev-Lobatto
-    nodes, they give a model S everywhere (``_moment_model``).  Its sign is
-    taken where it is certified (README, "Crossing search"); other points are
-    evaluated exactly (a scan point at a node takes its rows), so p* is the
-    exact search's to the bit.  The model runs once on the whole grid and once
-    per bisection path predicted by the secant of the bracket's S_first -
-    S_second.  ``n`` defaults to the qubit count of ``ineqs``, 4 for the default pair.
-    """
+    """Locate where the pair ``ineqs`` (Mermin and Ardehali by default) swaps significance order on
+    ``span`` (the family's ``DEFAULT_SPAN`` by default): the first sign change of S_first - S_second
+    on a ``coarse``-point grid (infinities compare as larger than any finite value; ties are skipped),
+    bisected down to the configured resolution.  ``n`` defaults to the qubit count of ``ineqs``, 4 for
+    the default pair.  p* is the all-exact search's to the bit (README, "Crossing search")."""
     if noise not in DEFAULT_SPAN:
         raise ValueError(f"unknown noise family {noise!r}; expected one of {NOISE_FAMILIES}")
-    first, second = ineqs = (mermin(4 if n is None else n), ardehali(4 if n is None else n)) if ineqs is None else ineqs
-    if n not in (None, first.n_qubits):
-        raise ValueError(f"n = {n} does not match the inequalities' {first.n_qubits} qubits")
-    n = first.n_qubits
-    lo, hi = span = DEFAULT_SPAN[noise] if span is None else span
-    if not 0.0 <= lo < hi <= 1.0:
+    ineqs = (mermin(4 if n is None else n), ardehali(4 if n is None else n)) if ineqs is None else tuple(ineqs)
+    if len(ineqs) != 2:
+        raise ValueError(f"ineqs must be two inequalities, got {len(ineqs)}")
+    if n not in (None, ineqs[0].n_qubits):
+        raise ValueError(f"n = {n} does not match the inequalities' {ineqs[0].n_qubits} qubits")
+    n, span = ineqs[0].n_qubits, DEFAULT_SPAN[noise] if span is None else span
+    if np.shape(span) != (2,) or not 0.0 <= span[0] < span[1] <= 1.0:
         raise ValueError(f"invalid search span {span!r}")
     if isinstance(coarse, (bool, np.bool_)) or not isinstance(coarse, (int, np.integer)) or coarse < 0:
         raise ValueError(f"coarse must be a non-negative integer, got {coarse!r}")
+    (lo, hi), step, k = span, max(1, _SCAN_ENTRIES // 4**n), n + 1 if noise == "bitflip" else 2
     state0, grid, rows, table = _sweep_evaluator(ineqs, noise, np.linspace(lo, hi, coarse), initial_state, total_copies)
-    step, d, k = max(1, _SCAN_ENTRIES // 4**n), 2**n, n + 1 if noise == "bitflip" else 2
     nodes = np.minimum(lo + (hi - lo) * (0.5 - 0.5 * np.cos(np.pi * np.arange(k) / (k - 1))), hi)
-    coeffs, m0, spread = np.concatenate([first.outcome_coeffs, second.outcome_coeffs]), state0.matrix, DEFAULT.coeff_spread
-    node_rows, copies, terms = np.full((k,) + coeffs.shape, np.nan), [], []
-    with np.errstate(all="ignore"):  # the model never warns: what it cannot bound is evaluated exactly
-        with contextlib.suppress(ValueError):  # refused nodes: NaN rows certify nothing
-            node_rows = np.concatenate([rows(nodes[i:i + step].tolist())[1] for i in range(0, k, step)])
-        moments = np.einsum("kso,wso->kws", node_rows, coeffs ** np.arange(3.0)[:, None, None])
-        eta = _gamma(d * d + 16 * n + 8) * np.linalg.norm(m0) + 2 * (d + 1) * DEFAULT.psd_clamp + abs(np.trace(m0).real - 1)  # step 1
-        for q in ineqs:  # step 3's constants for S settings of c copies each, L the largest |coefficient| of a setting
-            lam, c, n_set = np.abs(q.outcome_coeffs).max(axis=1), total_copies / q.n_settings, q.n_settings
-            # infinite where a total, sum or error of the exact estimate pass can leave the float range (step 4)
-            fits = 16 * np.finfo(float).tiny <= c * c and 16 * (1 + lam.max() ** 2) * max(c * c, 1 / c) < np.inf
-            terms.append([lam.sum() + abs(q.lhv_bound) if fits else np.inf, 2 * n_set * spread, 9 * lam @ lam / c, n_set * spread**2 / c])
-            copies += [c] * n_set
-    model = (nodes, moments, ineqs, np.array(copies), np.transpose(terms)[:, :, None], eta)
+    node_rows = np.full((k, sum(q.n_settings for q in ineqs), 2**n), np.nan)
+    with np.errstate(all="ignore"), contextlib.suppress(ValueError):  # refused nodes: NaN rows certify nothing
+        node_rows = np.concatenate([rows(nodes[i:i + step].tolist())[1] for i in range(0, k, step)])
+    model = _moment_constants(nodes, node_rows, ineqs, state0.matrix, total_copies)
 
     def gap(s) -> np.ndarray:  # S_first - S_second: NaN, a tie, where both are one infinity
         with np.errstate(all="ignore"):
@@ -581,6 +579,13 @@ def crossing_point(
 
     def sign(g) -> np.ndarray:
         return (g > 0).astype(int) - (g < 0)
+
+    def exact_gaps(ps) -> np.ndarray:  # a node's rows where a point is a node, one kernel call for the rest
+        hit = (ps[:, None] == nodes) & np.isfinite(node_rows).all(axis=(1, 2))
+        probs, new = node_rows[hit.argmax(axis=1)], ~hit.any(axis=1)
+        if new.any():
+            probs[new] = rows(ps[new].tolist())[1]
+        return gap(table(probs)[:, 2])
 
     s, _, unsure = _moment_model(grid, *model)
     gaps = gap(s)
@@ -591,13 +596,8 @@ def crossing_point(
         flips = np.flatnonzero(settled[nonzero[1:]] != settled[nonzero[:-1]])
         if flips.size or settled.size == gaps.size:
             break
-        # the next uncertified points: nodes with rows take them, one kernel call builds the rest
         todo = np.flatnonzero(unsure)[:step]
-        hit = (grid[todo, None] == nodes) & np.isfinite(node_rows).all(axis=(1, 2))
-        probs, new = node_rows[hit.argmax(axis=1)], ~hit.any(axis=1)
-        if new.any():
-            probs[new] = rows(grid[todo[new]].tolist())[1]
-        gaps[todo], unsure[todo] = gap(table(probs)[:, 2]), False
+        gaps[todo], unsure[todo] = exact_gaps(grid[todo]), False
     if not flips.size:
         raise NoCrossingError(f"significance difference does not change sign on [{lo:g}, {hi:g}] for {noise} noise")
     i, j = nonzero[flips[0]], nonzero[flips[0] + 1]
@@ -613,7 +613,7 @@ def crossing_point(
             x, y = (path[-1], y) if path[-1] <= r else (x, path[-1])
         s, _, u = _moment_model(path, *model)
         for h, mid in enumerate(path):  # until the signs turn away from r
-            g_mid = gap(table(rows([mid])[1])[:, 2, 0] if u[h] else s[:, h])
+            g_mid = exact_gaps(np.array([mid]))[0] if u[h] else gap(s[:, h])
             left = sign(g_mid) in (sign_a, 0)
             a, g_a, b, g_b = (mid, g_mid, b, g_b) if left else (a, g_a, mid, g_mid)
             if left != (mid <= r):

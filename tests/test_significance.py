@@ -630,6 +630,16 @@ class TestCrossing:
         with pytest.raises(ValueError, match=r"^n = 4 does not match the inequalities' 6 qubits$"):
             crossing_point("bitflip", 4, ineqs=six)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (lambda: {"ineqs": (mermin(4),)}, r"^ineqs must be two inequalities, got 1$"),
+        (lambda: {"ineqs": (mermin(4), ardehali(4), mermin(4))}, r"^ineqs must be two inequalities, got 3$"),
+        (lambda: {"span": (0.0, 0.25, 0.3)}, r"^invalid search span \(0\.0, 0\.25, 0\.3\)$"),
+
+    ], ids=["one_inequality", "three_inequalities", "three_span_values"])
+    def test_ineqs_and_span_must_be_pairs(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            crossing_point("bitflip", **kwargs())
+
     @pytest.mark.parametrize("noise, n, state, exact_states", [
         ("bitflip", 4, None, 30),
         ("white", 4, None, 32),
