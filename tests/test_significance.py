@@ -703,6 +703,30 @@ class TestCrossing:
         assert models[0] == 33 > max(models[1:])  # one scan call, on the whole grid; the rest are paths
         assert max(states) * 4**n <= significance._SCAN_ENTRIES
 
+    @pytest.mark.parametrize("noise, n, state, states_built, passes", [
+        ("bitflip", 4, None, 34, 14),
+        ("white", 4, None, 33, 16),
+        ("bitflip", 6, None, 40, 33),
+        ("white", 6, None, 40, 38),
+        ("bitflip", 4, "ansatz", 34, 14),
+    ])
+    def test_reads_ahead_when_the_model_certifies_nothing(self, monkeypatch, noise, n, state, states_built, passes):
+        # with infinite rounding bounds every sign is read exactly: the scan reads
+        # its uncertified points a chunk at a time up to the chunk that completes
+        # the first sign change, and each bisection midpoint takes one pass; the
+        # states are the nodes, those chunks, the midpoints and the state at p*
+        initial = experimental_ansatz(AnsatzParams()) if state else None
+        monkeypatch.setattr(significance, "_gamma", lambda m: math.inf)
+        expected = exact_crossing(noise, n, initial, 8000.0, None, (mermin(n), ardehali(n)))
+        states, models, tables = [], [], []
+        noisy_stack, model, estimates = significance._noisy_stack, significance._moment_model, significance.setting_estimates
+        monkeypatch.setattr(significance, "_noisy_stack", lambda m, f, ps: states.append(len(ps)) or noisy_stack(m, f, ps))
+        monkeypatch.setattr(significance, "_moment_model", lambda ps, *a: models.append(len(ps)) or model(ps, *a))
+        monkeypatch.setattr(significance, "setting_estimates", lambda c, *a: tables.append(c.shape) or estimates(c, *a))
+        result = crossing_point(noise, n, initial_state=initial)
+        assert (result.p_star.hex(), result.fidelity_star.hex()) == tuple(x.hex() for x in expected)
+        assert (sum(states), len(tables), len(models)) == (states_built, passes, 3)
+
     # points at and next to three paper crossings (p = 0 of a GHZ span has S_M = inf),
     # and a mixed state on the whole range at 1e7 shots
     @example(n=4, noise="bitflip", kind="ghz", weight=1.0, span=None, shots=8000.0, at=[0.0, 0.34, 0.345, 1.0])
