@@ -495,24 +495,6 @@ class CrossingResult:
     n_qubits: int
 
 
-def _moment_constants(nodes, node_rows, ineqs, m0, total_copies: float):
-    """``_moment_model``'s arguments after ``ps`` for a search of the pair ``ineqs`` from the initial state
-    matrix ``m0``: the (k, 3, S) moments of the exact ``node_rows`` at the ``nodes``, each setting's copies,
-    step 3's constants and step 1's eta (README, "Crossing search", steps 1-4).  It never warns."""
-    n, spread, copies, terms = ineqs[0].n_qubits, DEFAULT.coeff_spread, [], []
-    d, coeffs = 2**n, np.concatenate([q.outcome_coeffs for q in ineqs])
-    with np.errstate(all="ignore"):
-        moments = np.einsum("kso,wso->kws", node_rows, coeffs ** np.arange(3.0)[:, None, None])
-        eta = _gamma(d * d + 16 * n + 8) * np.linalg.norm(m0) + 2 * (d + 1) * DEFAULT.psd_clamp + abs(np.trace(m0).real - 1)  # step 1
-        for q in ineqs:  # step 3's constants for S settings of c copies each, L the largest |coefficient| of a setting
-            lam, c, n_set = np.abs(q.outcome_coeffs).max(axis=1), total_copies / q.n_settings, q.n_settings
-            # infinite where a total, sum or error of the exact estimate pass can leave the float range (step 4)
-            fits = 16 * np.finfo(float).tiny <= c * c and 16 * (1 + lam.max() ** 2) * max(c * c, 1 / c) < np.inf
-            terms.append([lam.sum() + abs(q.lhv_bound) if fits else np.inf, 2 * n_set * spread, 9 * lam @ lam / c, n_set * spread**2 / c])
-            copies += [c] * n_set
-    return nodes, moments, ineqs, np.array(copies), np.transpose(terms)[:, :, None], eta
-
-
 def _moment_model(ps, nodes, moments, ineqs, copies, terms, eta):
     """Model S of the pair ``ineqs`` at the noise strengths ``ps``, its (2, G) bounds on
     |S_model - S_exact| and the mask of the points it cannot certify (README, "Crossing search",
@@ -539,6 +521,49 @@ def _moment_model(ps, nodes, moments, ineqs, copies, terms, eta):
     return s, bound, unsure
 
 
+def _sign_source(ineqs, noise: str, span, coarse: int, initial_state, total_copies: float, step: int):
+    """A crossing search's one source of gaps S_first - S_second of ``ineqs``: the checked initial state, the
+    ``coarse``-point grid on ``span`` and ``readings(ps, batch)``, which yields each point of ``ps`` in order
+    with its gap, the moment model's where one call certifies it, else read exactly with the next uncertified
+    points, ``batch`` per estimate pass, a node taking its rows (README, "Crossing search", steps 1-4)."""
+    (lo, hi), n, spread, copies, terms = span, ineqs[0].n_qubits, DEFAULT.coeff_spread, [], []
+    state0, grid, rows, table = _sweep_evaluator(ineqs, noise, np.linspace(lo, hi, coarse), initial_state, total_copies)
+    k, d, m0, coeffs = n + 1 if noise == "bitflip" else 2, 2**n, state0.matrix, np.concatenate([q.outcome_coeffs for q in ineqs])
+    nodes = np.minimum(lo + (hi - lo) * (0.5 - 0.5 * np.cos(np.pi * np.arange(k) / (k - 1))), hi)
+    node_rows = np.full((k, len(coeffs), d), np.nan)
+    with np.errstate(all="ignore"), contextlib.suppress(ValueError):  # refused nodes: NaN rows certify nothing
+        node_rows = np.concatenate([rows(nodes[i:i + step].tolist())[1] for i in range(0, k, step)])
+    with np.errstate(all="ignore"):
+        moments = np.einsum("kso,wso->kws", node_rows, coeffs ** np.arange(3.0)[:, None, None])
+        eta = _gamma(d * d + 16 * n + 8) * np.linalg.norm(m0) + 2 * (d + 1) * DEFAULT.psd_clamp + abs(np.trace(m0).real - 1)  # step 1
+        for q in ineqs:  # step 3's constants for S settings of c copies each, L the largest |coefficient| of a setting
+            lam, c, n_set = np.abs(q.outcome_coeffs).max(axis=1), total_copies / q.n_settings, q.n_settings
+            # infinite where a total, sum or error of the exact estimate pass can leave the float range (step 4)
+            fits = 16 * np.finfo(float).tiny <= c * c and 16 * (1 + lam.max() ** 2) * max(c * c, 1 / c) < np.inf
+            terms.append([lam.sum() + abs(q.lhv_bound) if fits else np.inf, 2 * n_set * spread, 9 * lam @ lam / c, n_set * spread**2 / c])
+            copies += [c] * n_set
+    model = nodes, moments, ineqs, np.array(copies), np.transpose(terms)[:, :, None], eta
+
+    def gap(s) -> np.ndarray:  # NaN, a tie, where both S are one infinity
+        with np.errstate(all="ignore"):
+            return s[0] - s[1]
+
+    def readings(ps, batch: int):
+        ps = np.asarray(ps, dtype=float)
+        s, _, unsure = _moment_model(ps, *model)
+        gaps = gap(s)
+        for i, p in enumerate(ps.tolist()):
+            if unsure[i]:
+                todo = i + np.flatnonzero(unsure[i:])[:batch]
+                hit = (ps[todo, None] == nodes) & np.isfinite(node_rows).all(axis=(1, 2))
+                probs, new = node_rows[hit.argmax(axis=1)], ~hit.any(axis=1)
+                if new.any():
+                    probs[new] = rows(ps[todo][new].tolist())[1]
+                gaps[todo], unsure[todo] = gap(table(probs)[:, 2]), False
+            yield p, gaps[i]
+    return state0, grid, readings
+
+
 def crossing_point(
     noise: str,
     n: int | None = None,
@@ -548,11 +573,10 @@ def crossing_point(
     span: tuple[float, float] | None = None,
     coarse: int = 33,
 ) -> CrossingResult:
-    """Locate where the pair ``ineqs`` (Mermin and Ardehali by default) swaps significance order on
-    ``span`` (the family's ``DEFAULT_SPAN`` by default): the first sign change of S_first - S_second
-    on a ``coarse``-point grid (infinities compare as larger than any finite value; ties are skipped),
-    bisected down to the configured resolution.  ``n`` defaults to the qubit count of ``ineqs``, 4 for
-    the default pair.  p* is the all-exact search's to the bit (README, "Crossing search")."""
+    """Locate where the pair ``ineqs`` (Mermin and Ardehali by default; ``n`` defaults to its qubit count, 4 for
+    the default pair) swaps significance order on ``span`` (the family's ``DEFAULT_SPAN`` by default): the first
+    sign change of S_first - S_second on a ``coarse``-point grid (infinities larger than any finite value, ties
+    skipped), bisected to the configured resolution; p* is the all-exact search's to the bit (README)."""
     if noise not in DEFAULT_SPAN:
         raise ValueError(f"unknown noise family {noise!r}; expected one of {NOISE_FAMILIES}")
     ineqs = (mermin(4 if n is None else n), ardehali(4 if n is None else n)) if ineqs is None else tuple(ineqs)
@@ -565,55 +589,30 @@ def crossing_point(
         raise ValueError(f"invalid search span {span!r}")
     if isinstance(coarse, (bool, np.bool_)) or not isinstance(coarse, (int, np.integer)) or coarse < 0:
         raise ValueError(f"coarse must be a non-negative integer, got {coarse!r}")
-    (lo, hi), step, k = span, max(1, _SCAN_ENTRIES // 4**n), n + 1 if noise == "bitflip" else 2
-    state0, grid, rows, table = _sweep_evaluator(ineqs, noise, np.linspace(lo, hi, coarse), initial_state, total_copies)
-    nodes = np.minimum(lo + (hi - lo) * (0.5 - 0.5 * np.cos(np.pi * np.arange(k) / (k - 1))), hi)
-    node_rows = np.full((k, sum(q.n_settings for q in ineqs), 2**n), np.nan)
-    with np.errstate(all="ignore"), contextlib.suppress(ValueError):  # refused nodes: NaN rows certify nothing
-        node_rows = np.concatenate([rows(nodes[i:i + step].tolist())[1] for i in range(0, k, step)])
-    model = _moment_constants(nodes, node_rows, ineqs, state0.matrix, total_copies)
+    step = max(1, _SCAN_ENTRIES // 4**n)
+    state0, grid, readings = _sign_source(ineqs, noise, span, coarse, initial_state, total_copies, step)
 
-    def gap(s) -> np.ndarray:  # S_first - S_second: NaN, a tie, where both are one infinity
-        with np.errstate(all="ignore"):
-            return s[0] - s[1]
+    def sign(g) -> int:
+        return int(g > 0) - int(g < 0)
 
-    def sign(g) -> np.ndarray:
-        return (g > 0).astype(int) - (g < 0)
-
-    def exact_gaps(ps) -> np.ndarray:  # a node's rows where a point is a node, one kernel call for the rest
-        hit = (ps[:, None] == nodes) & np.isfinite(node_rows).all(axis=(1, 2))
-        probs, new = node_rows[hit.argmax(axis=1)], ~hit.any(axis=1)
-        if new.any():
-            probs[new] = rows(ps[new].tolist())[1]
-        return gap(table(probs)[:, 2])
-
-    s, _, unsure = _moment_model(grid, *model)
-    gaps = gap(s)
-    while True:
-        # first pair of neighbouring nonzero signs that differ before the first uncertified point; ties are skipped
-        settled = sign(gaps[:np.append(unsure, True).argmax()])
-        nonzero = np.flatnonzero(settled)
-        flips = np.flatnonzero(settled[nonzero[1:]] != settled[nonzero[:-1]])
-        if flips.size or settled.size == gaps.size:
+    a, g_a = None, 0.0  # the last scan point with a nonzero sign, and its gap
+    for b, g_b in readings(grid, step):  # up to the first pair of nonzero signs that differ; ties are skipped
+        if sign(g_a) * sign(g_b) < 0:
             break
-        todo = np.flatnonzero(unsure)[:step]
-        gaps[todo], unsure[todo] = exact_gaps(grid[todo]), False
-    if not flips.size:
-        raise NoCrossingError(f"significance difference does not change sign on [{lo:g}, {hi:g}] for {noise} noise")
-    i, j = nonzero[flips[0]], nonzero[flips[0] + 1]
-    (a, b), (g_a, g_b), sign_a = grid[[i, j]].tolist(), gaps[[i, j]], sign(gaps[i])
+        a, g_a = (b, g_b) if sign(g_b) else (a, g_a)
+    else:
+        raise NoCrossingError(f"significance difference does not change sign on [{span[0]:g}, {span[1]:g}] for {noise} noise")
+    sign_a = sign(g_a)
     while b - a > DEFAULT.bisection:
-        # one model call on the midpoints the one-step loop visits if its signs follow the gaps' secant root r
-        # (the midpoint if r is not finite or not in [a, b])
+        # the midpoints the one-step loop visits if its signs follow the gaps' secant root r
+        # (the midpoint if r is not finite or not in [a, b]), read until the signs turn away from r
         with np.errstate(all="ignore"):
             r = a - g_a * (b - a) / (g_b - g_a)
         r, path, x, y = r if a <= r <= b else 0.5 * (a + b), [], a, b
         while y - x > DEFAULT.bisection:
             path.append(0.5 * (x + y))
             x, y = (path[-1], y) if path[-1] <= r else (x, path[-1])
-        s, _, u = _moment_model(path, *model)
-        for h, mid in enumerate(path):  # until the signs turn away from r
-            g_mid = exact_gaps(np.array([mid]))[0] if u[h] else gap(s[:, h])
+        for mid, g_mid in readings(path, 1):
             left = sign(g_mid) in (sign_a, 0)
             a, g_a, b, g_b = (mid, g_mid, b, g_b) if left else (a, g_a, mid, g_mid)
             if left != (mid <= r):
