@@ -290,6 +290,16 @@ def _combine(means: np.ndarray, errors: np.ndarray, lhv_bound: float):
     return v, np.sqrt(np.cumsum(errors * errors, axis=-1)[..., -1])
 
 
+def _finite_combine(means: np.ndarray, errors: np.ndarray, ineq: BellInequality):
+    """``_combine`` of ``ineq``'s settings, refused at the first point whose V or E is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # sums past the float range: refused below
+        v, e = _combine(means, errors, ineq.lhv_bound)
+    if (bad := np.flatnonzero(~(np.isfinite(v) & np.isfinite(e)))).size:
+        v0, e0 = float(np.ravel(v)[bad[0]]), float(np.ravel(e)[bad[0]])
+        raise ValueError(f"inequality {ineq.name!r} has no finite violation and error: V {v0!r}, E {e0!r}")
+    return v, e
+
+
 def evaluate(counts: CountTable, ineq: BellInequality) -> SignificanceReport:
     """Combine all settings of an inequality into (V, E, S).
 
@@ -312,10 +322,7 @@ def evaluate(counts: CountTable, ineq: BellInequality) -> SignificanceReport:
         rows.append(vec)
     means, errors, totals = setting_estimates(np.array(rows, dtype=float), ineq.outcome_coeffs, labels)
     estimates = tuple(map(SettingEstimate, labels, means.tolist(), errors.tolist(), totals.tolist()))
-    with np.errstate(over="ignore", invalid="ignore"):  # sums past the float range: refused below
-        v, e = _combine(means, errors, ineq.lhv_bound)
-    if not (np.isfinite(v) and np.isfinite(e)):
-        raise ValueError(f"inequality {ineq.name!r} has no finite violation and error: V {float(v)!r}, E {float(e)!r}")
+    v, e = _finite_combine(means, errors, ineq)
     s, degenerate = _significance_of(v, e)
     meta = {"inequality": ineq.name, "lhv_bound": ineq.lhv_bound,
             "mode": counts.mode, "total_counts": counts.total()}
@@ -424,21 +431,19 @@ class SweepTable:
 
 
 def _sweep_evaluator(ineqs, noise: str, grid, initial_state, total_copies: float):
-    """Check a sweep's arguments and build what its chunks share: one plan, and
-    the (S, 1) copies and (S, 2**n) coefficients of all S settings with each
-    inequality's offsets.  Returns the checked initial state and ``(grid, rows,
-    table)``: ``rows(ps)`` runs the noise strengths ``ps`` as one validated
-    (G, d, d) state stack and one kernel call, giving the stack and its (G, S,
+    """Check the arguments a sweep and a crossing search share (tags may repeat) and build
+    what their chunks share: one plan, and the (S, 1) copies and (S, 2**n) coefficients
+    of all S settings with each inequality's offsets.  Returns the checked initial state
+    and ``(grid, rows, table)``: ``rows(ps)`` runs the noise strengths ``ps`` as one
+    validated (G, d, d) state stack and one kernel call, giving the stack and its (G, S,
     2**n) probability rows; ``table(probs)`` runs one estimate pass, then one
-    ``_combine`` per inequality, giving an (n_ineqs, 3, G) V, E, S table."""
+    ``_finite_combine`` per inequality, giving an (n_ineqs, 3, G) V, E, S table."""
     ineqs = list(ineqs)
     if not ineqs:
         raise ValueError("need at least one inequality")
     n = ineqs[0].n_qubits
     if any(q.n_qubits != n for q in ineqs):
         raise ValueError("all inequalities must share the qubit count")
-    if len({q.tag for q in ineqs}) != len(ineqs):
-        raise ValueError("inequality tags must be distinct within one sweep")
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0:
         raise ValueError("empty noise grid")
@@ -457,7 +462,7 @@ def _sweep_evaluator(ineqs, noise: str, grid, initial_state, total_copies: float
 
     def table(probs):
         means, errors, _ = setting_estimates(copies * probs, coeffs)
-        ves = [_combine(means[:, a:b], errors[:, a:b], q.lhv_bound) for q, a, b in zip(ineqs, offsets, offsets[1:])]
+        ves = [_finite_combine(means[:, a:b], errors[:, a:b], q) for q, a, b in zip(ineqs, offsets, offsets[1:])]
         return np.array([(v, e, _significance_of(v, e)[0]) for v, e in ves])
 
     return state0, grid, rows, table
@@ -475,6 +480,8 @@ def significance_sweep(
     most ``_SWEEP_ENTRIES`` state entries (one kernel call) at a time."""
     ineqs = list(ineqs)
     _, grid, rows, table = _sweep_evaluator(ineqs, noise, grid, initial_state, total_copies)
+    if len({q.tag for q in ineqs}) != len(ineqs):  # the table keys its values by tag
+        raise ValueError("inequality tags must be distinct within one sweep")
     step, reference = max(1, _SWEEP_ENTRIES // 4 ** ineqs[0].n_qubits), ghz_state(ineqs[0].n_qubits)
     chunks = [([fidelity_with_pure(m, reference) for m in noisy], table(probs))
               for noisy, probs in (rows(grid[i:i + step].tolist()) for i in range(0, grid.size, step))]
@@ -645,7 +652,7 @@ def _monte_carlo_studies(rho, studies, trials: int, seed: int) -> list[MonteCarl
     if trials < 100:
         raise ValueError("need at least 100 trials for a meaningful comparison")
     expected = [_poisson_means(rho, q, b) for q, b in studies]
-    v_pred = [float(_combine(*setting_estimates(x, q.outcome_coeffs)[:2], q.lhv_bound)[0])
+    v_pred = [float(_finite_combine(*setting_estimates(x, q.outcome_coeffs)[:2], q)[0])
               for x, (q, _) in zip(expected, studies)]
     v, e = np.zeros((2, len(studies), trials))
     block = min(trials, max(1, _BLOCK_COUNTS // max(x.size for x in expected)))
@@ -661,7 +668,7 @@ def _monte_carlo_studies(rho, studies, trials: int, seed: int) -> list[MonteCarl
                 draws[k][i - start] = rng.poisson(x)
         for k, (q, _) in enumerate(studies):
             counts = draws[k][:stop - start]
-            v[k, start:stop], e[k, start:stop] = _combine(*setting_estimates(counts, q.outcome_coeffs)[:2], q.lhv_bound)
+            v[k, start:stop], e[k, start:stop] = _finite_combine(*setting_estimates(counts, q.outcome_coeffs)[:2], q)
     summaries = []
     for vk, ek, vp in zip(v, e, v_pred):
         v_std, e_mean = float(np.std(vk, ddof=1)), float(np.mean(ek))

@@ -435,6 +435,20 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=re.escape("inequality 'mermin4' has no finite violation and error: V -4.0, E inf")):
             evaluate(table, ineq)
 
+    @pytest.mark.parametrize("run", [
+        lambda big, rho: evaluate(predicted_counts(rho, big, ShotBudget.equal_split(8000, big)), big),
+        lambda big, rho: significance_sweep([big], "bitflip", [0.0]),
+        lambda big, rho: monte_carlo_study(rho, big, ShotBudget.equal_split(8000, big), 100),
+    ], ids=["evaluate", "sweep", "montecarlo"])
+    def test_violation_past_the_float_range_is_refused(self, rho_ghz4, mermin4, run):
+        # every setting's mean is 3e307 at GHZ; their sum is not a float
+        data = inequality_to_json_dict(mermin4)
+        for entry in data["settings"]:
+            entry["coefficients"] = [c * 3e307 for c in entry["coefficients"]]
+        big = inequality_from_json_dict({**data, "name": "big", "tag": "B", "lhv_bound": 0.0})
+        with pytest.raises(ValueError, match=re.escape("inequality 'big' has no finite violation and error: V inf, E 0.0")):
+            run(big, rho_ghz4)
+
 
 class TestVarianceModel:
     def test_eigenstate_gives_infinite_s(self, ghz4, witness4):
@@ -639,6 +653,16 @@ class TestCrossing:
     def test_ineqs_and_span_must_be_pairs(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             crossing_point("bitflip", **kwargs())
+
+    @pytest.mark.parametrize("noise, span", [("bitflip", "0, 0.25"), ("white", "0, 0.9")])
+    def test_identical_pair_has_no_crossing(self, noise, span):
+        # one inequality twice ties everywhere, as in the all-exact search; the
+        # shared tag is no error, since no table of a crossing is keyed by it
+        message = rf"^significance difference does not change sign on \[{span}\] for {noise} noise$"
+        with pytest.raises(NoCrossingError, match=message):
+            crossing_point(noise, ineqs=(mermin(4), mermin(4)))
+        with pytest.raises(ValueError, match=r"^inequality tags must be distinct within one sweep$"):
+            significance_sweep([mermin(4), mermin(4)], noise, [0.0])
 
     @pytest.mark.parametrize("noise, n, state, exact_states", [
         ("bitflip", 4, None, 30),
