@@ -9,9 +9,10 @@ when qubit k gave the +1 result and 1 when it gave -1.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, lru_cache, reduce
 
 import numpy as np
 
@@ -124,7 +125,7 @@ class BellInequality:
     """<B> <= lhv_bound, with B decomposed into measurement settings.
 
     ``probabilities`` contracts the state qubit by qubit over a plan built
-    from the settings' observables at each call.
+    once per process for the settings' observables.
     """
 
     name: str
@@ -198,9 +199,15 @@ def _parity_inequality(name: str, tag: str, n: int, terms, lhv_bound: float) -> 
 def mermin(n: int) -> BellInequality:
     """The stabilizer-type inequality: all even-Y X/Y strings, signed
     (-1)**(#Y/2), one measurement setting per string (8 settings at n=4);
-    bound 2**(n/2) (Mermin, PRL 65, 1838 (1990))."""
+    bound 2**(n/2) (Mermin, PRL 65, 1838 (1990)).  Built once per process for an
+    int n: each call returns a fresh object over the same read-only arrays."""
     if n not in (4, 6):
         raise ValueError(f"mermin inequality implemented for n in (4, 6), got {n}")
+    return copy.copy(_mermin(n) if type(n) is int else _mermin.__wrapped__(n))  # 4.0, np.int64(4): built anew
+
+
+@cache
+def _mermin(n: int) -> BellInequality:
     terms = []
     for mask in range(2**n):
         y_count = bin(mask).count("1")
@@ -213,9 +220,15 @@ def ardehali(n: int) -> BellInequality:
     """The rotated-last-qubit inequality: every X/Y string on the first n-1
     qubits paired with A and with B on the last qubit, all terms weighted
     1/sqrt(2) (16 settings at n=4); bound 2**((n-1)/2) (Ardehali, PRA 46, 5375
-    (1992)), at n=6 with the bits of ``lhv_bound_bruteforce``, 1 ulp above 4*sqrt(2)."""
+    (1992)), at n=6 with the bits of ``lhv_bound_bruteforce``, 1 ulp above 4*sqrt(2).
+    Built once per process for an int n, as ``mermin``."""
     if n not in (4, 6):
         raise ValueError(f"ardehali inequality implemented for n in (4, 6), got {n}")
+    return copy.copy(_ardehali(n) if type(n) is int else _ardehali.__wrapped__(n))
+
+
+@cache
+def _ardehali(n: int) -> BellInequality:
     terms = []
     for mask in range(2 ** (n - 1)):
         labels = np.binary_repr(mask, n - 1).translate(_XY)
@@ -317,7 +330,7 @@ def witness_violation(rho, w: Witness) -> float:
     return -expectation(rho, w.matrix)
 
 
-def _contraction_plan(settings) -> tuple[list, np.ndarray, tuple]:
+def _contraction_plan(settings) -> tuple[tuple, np.ndarray, tuple]:
     """Qubit-by-qubit contraction plan for a stack of product settings.
 
     Level k holds one node per distinct observable prefix
@@ -326,19 +339,25 @@ def _contraction_plan(settings) -> tuple[list, np.ndarray, tuple]:
     T[i, j] = conj(u[i, :]) * u[j, :] of its qubit-k eigenbasis u, shaped
     (g, 2, 1, 1, 1, 1).  ``index[s, o]`` is the flat (last-level node, outcome)
     entry that holds setting s's outcome o; the kernel puts qubit k's outcome
-    at bit k, so the index also reverses the outcome bits.  The settings come
-    last, for ``_settle_zeros``.
+    at bit k, so the index also reverses the outcome bits.  Both are built once
+    per observable tuple (``_plan``) and shared read-only; the caller's settings
+    come last, for ``_settle_zeros``.
     """
+    return *_plan(tuple(s.observables for s in settings)), tuple(settings)
+
+
+@lru_cache(maxsize=32)  # bounded: generic settings with fresh observables are new keys
+def _plan(observables) -> tuple[tuple, np.ndarray]:
     levels, nodes = [], {(): 0}
-    for k in range(settings[0].n_qubits):
+    for k in range(len(observables[0])):
         parents, nodes = nodes, {}
-        for s in settings:
-            nodes.setdefault(s.observables[:k + 1], len(nodes))
+        for obs in observables:
+            nodes.setdefault(obs[:k + 1], len(nodes))
         u = np.array([prefix[-1].eigenbasis() for prefix in nodes])
-        t = [(u[:, i].conj() * u[:, j])[:, :, None, None, None, None] for i in (0, 1) for j in (0, 1)]
-        levels.append((np.array([parents[prefix[:-1]] for prefix in nodes]), *t))
+        t = [_freeze((u[:, i].conj() * u[:, j])[:, :, None, None, None, None]) for i in (0, 1) for j in (0, 1)]
+        levels.append((_freeze(np.array([parents[prefix[:-1]] for prefix in nodes])), *t))
     reverse = np.arange(2 ** len(levels)).reshape([2] * len(levels)).T.ravel()
-    return levels, np.array([nodes[s.observables] for s in settings])[:, None] * reverse.size + reverse, tuple(settings)
+    return tuple(levels), _freeze(np.array([nodes[obs] for obs in observables])[:, None] * reverse.size + reverse)
 
 
 def _probability_rows(rho, plan) -> np.ndarray:

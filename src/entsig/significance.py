@@ -451,6 +451,7 @@ def _sweep_evaluator(ineqs, noise: str, grid, initial_state, total_copies: float
         raise ValueError("noise grid values must lie in [0, 1]")
     state0 = _as_initial_state(initial_state, n)
     plan = _contraction_plan([s for q in ineqs for s in q.settings])
+    labels = [s.label for s in plan[2]]  # a refusal names the setting, as ``evaluate`` does
     copies = np.array([[c] for q in ineqs for c in ShotBudget.equal_split(total_copies, q).allocation.values()])
     coeffs = np.concatenate([q.outcome_coeffs for q in ineqs])
     offsets = np.cumsum([0] + [q.n_settings for q in ineqs])
@@ -461,7 +462,7 @@ def _sweep_evaluator(ineqs, noise: str, grid, initial_state, total_copies: float
         return noisy, _probability_rows(noisy, plan)
 
     def table(probs):
-        means, errors, _ = setting_estimates(copies * probs, coeffs)
+        means, errors, _ = setting_estimates(copies * probs, coeffs, labels)
         ves = [_finite_combine(means[:, a:b], errors[:, a:b], q) for q, a, b in zip(ineqs, offsets, offsets[1:])]
         return np.array([(v, e, _significance_of(v, e)[0]) for v, e in ves])
 

@@ -591,6 +591,20 @@ class TestSweep:
         significance_sweep((mermin(n), ardehali(n)), "bitflip", np.linspace(0.0, 0.25, 200))
         assert built == chunks
 
+    @pytest.mark.parametrize("run", [
+        lambda pair: significance_sweep(pair, "bitflip", [0.1]),
+        lambda pair: crossing_point("bitflip", ineqs=pair),
+    ], ids=["sweep", "crossing"])
+    def test_refusal_names_the_setting(self, ardehali4, mermin4, run):
+        # big's settings follow Ardehali's 16 in the shared estimate pass; the refusal
+        # names its setting 'XXYY' by label, as evaluate does, not as row 17
+        data = inequality_to_json_dict(mermin4)
+        for entry in data["settings"]:
+            entry["coefficients"] = [c * 3e307 for c in entry["coefficients"]]
+        big = inequality_from_json_dict({**data, "name": "big", "tag": "B"})
+        with pytest.raises(ValueError, match=re.escape("setting 'XXYY' has no finite estimate: mean ")):
+            run((ardehali4, big))
+
 
 class TestCrossing:
     def test_bitflip_four_qubits(self):
