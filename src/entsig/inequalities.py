@@ -199,8 +199,8 @@ def _parity_inequality(name: str, tag: str, n: int, terms, lhv_bound: float) -> 
 def mermin(n: int) -> BellInequality:
     """The stabilizer-type inequality: all even-Y X/Y strings, signed
     (-1)**(#Y/2), one measurement setting per string (8 settings at n=4);
-    bound 2**(n/2) (Mermin, PRL 65, 1838 (1990)).  Built once per process for an
-    int n: each call returns a fresh object over the same read-only arrays."""
+    bound 2**(n/2) (Mermin, PRL 65, 1838 (1990)).  Built once per int n: each
+    call is a fresh object over shared read-only arrays and settings."""
     if n not in (4, 6):
         raise ValueError(f"mermin inequality implemented for n in (4, 6), got {n}")
     return copy.copy(_mermin(n) if type(n) is int else _mermin.__wrapped__(n))  # 4.0, np.int64(4): built anew
@@ -221,7 +221,7 @@ def ardehali(n: int) -> BellInequality:
     qubits paired with A and with B on the last qubit, all terms weighted
     1/sqrt(2) (16 settings at n=4); bound 2**((n-1)/2) (Ardehali, PRA 46, 5375
     (1992)), at n=6 with the bits of ``lhv_bound_bruteforce``, 1 ulp above 4*sqrt(2).
-    Built once per process for an int n, as ``mermin``."""
+    Built once per int n, as ``mermin``."""
     if n not in (4, 6):
         raise ValueError(f"ardehali inequality implemented for n in (4, 6), got {n}")
     return copy.copy(_ardehali(n) if type(n) is int else _ardehali.__wrapped__(n))
@@ -339,14 +339,13 @@ def _contraction_plan(settings) -> tuple[tuple, np.ndarray, tuple]:
     T[i, j] = conj(u[i, :]) * u[j, :] of its qubit-k eigenbasis u, shaped
     (g, 2, 1, 1, 1, 1).  ``index[s, o]`` is the flat (last-level node, outcome)
     entry that holds setting s's outcome o; the kernel puts qubit k's outcome
-    at bit k, so the index also reverses the outcome bits.  Both are built once
-    per observable tuple (``_plan``) and shared read-only; the caller's settings
-    come last, for ``_settle_zeros``.
+    at bit k, so the index also reverses the outcome bits.  The settings come
+    last, for ``_settle_zeros``.
     """
     return *_plan(tuple(s.observables for s in settings)), tuple(settings)
 
 
-@lru_cache(maxsize=32)  # bounded: generic settings with fresh observables are new keys
+@lru_cache(maxsize=32)  # read-only levels and index; bounded, as fresh observables are new keys
 def _plan(observables) -> tuple[tuple, np.ndarray]:
     levels, nodes = [], {(): 0}
     for k in range(len(observables[0])):
