@@ -52,6 +52,8 @@ EXIT_PIPE = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NO_CROSSING = 4
+# AnsatzParams field -> its option and metadata name: --alpha, --beta, --gamma, --lambda
+_ANSATZ_KEYS = {name: "lambda" if name == "lam" else name for name in vars(AnsatzParams())}
 _NEGATIVE_FLOAT = re.compile(r"-(inf(inity)?|nan|(\d+\.?\d*|\.\d+)(e[-+]?\d+)?)$", re.IGNORECASE)
 
 
@@ -119,19 +121,11 @@ def _parse_span(text: str | None):
 def _initial_state(args) -> tuple[DensityMatrix, dict]:
     if args.state == "ghz":
         return DensityMatrix.from_pure(ghz_state(args.qubits)), {"state": "ghz"}
-    params = AnsatzParams(args.alpha, args.beta, args.gamma, args.lam)
+    params = AnsatzParams(**{name: getattr(args, name) for name in _ANSATZ_KEYS})
     if args.qubits != 4:
         raise ValueError("--state ansatz is a 4-qubit model; use --qubits 4")
-    state = experimental_ansatz(params)
-    meta = {
-        "state": "ansatz",
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "gamma": params.gamma,
-        "lambda": params.lam,
-        "trace_renormalization": params.trace_renormalization,
-    }
-    return state, meta
+    meta = {key: getattr(params, name) for name, key in _ANSATZ_KEYS.items()}
+    return experimental_ansatz(params), {"state": "ansatz", **meta, "trace_renormalization": params.trace_renormalization}
 
 
 def _read_json(path: str, prefix: str, kind: str, parse):
@@ -271,8 +265,8 @@ def cmd_montecarlo(args) -> str:
 def _add_state_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shots", type=float, default=8000.0)
     p.add_argument("--state", choices=("ghz", "ansatz"), default="ghz")
-    for name, default in vars(AnsatzParams()).items():  # --alpha, --beta, --gamma, --lambda
-        p.add_argument("--lambda" if name == "lam" else f"--{name}", dest=name, type=float, default=default)
+    for name, default in vars(AnsatzParams()).items():
+        p.add_argument(f"--{_ANSATZ_KEYS[name]}", dest=name, type=float, default=default)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

@@ -46,7 +46,7 @@ def require_hermitian(m: np.ndarray, tol: float, what: str = "matrix") -> None:
         raise ValueError(f"{what} is not Hermitian (defect {defect.flat[bad[0]]:.3e} > {tol:.1e})")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity, as contraction plans key them
 class SingleQubitObservable:
     """A dichotomic single-qubit observable (O Hermitian, O^2 = 1)."""
 
@@ -60,8 +60,8 @@ class SingleQubitObservable:
         require_hermitian(m, DEFAULT.hermitian, f"observable {self.label!r}")
         if np.max(np.abs(m @ m - np.eye(2))) > DEFAULT.dichotomic:
             raise ValueError(f"observable {self.label!r} does not square to identity")
-        self.matrix = _freeze(m)
-        self._eigenbasis = None
+        object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "_eigenbasis", None)
 
     def eigenbasis(self) -> np.ndarray:
         """Columns [v_plus, v_minus]: the +1 then -1 eigenvectors (read-only,
@@ -71,7 +71,7 @@ class SingleQubitObservable:
             if vals[1] - vals[0] > 1.0:  # genuinely dichotomic: (-1, +1)
                 vecs = np.ascontiguousarray(vecs[:, ::-1])
             # else identity-like: both eigenvalues +1, any basis works
-            self._eigenbasis = _freeze(vecs)
+            object.__setattr__(self, "_eigenbasis", _freeze(vecs))
         return self._eigenbasis
 
 

@@ -51,7 +51,7 @@ def standard_observable(label: str) -> SingleQubitObservable:
         raise ValueError(f"unknown observable label {label!r}") from None
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity, as SingleQubitObservable
 class MeasurementSetting:
     """One dichotomic observable per qubit, measured in the joint eigenbasis."""
 
@@ -69,9 +69,8 @@ class MeasurementSetting:
                 raise ValueError(
                     f"observable {o.label!r} is degenerate (trace != 0); settings need +1/-1 outcomes"
                 )
-        self.observables = obs
-        if not self.label:
-            self.label = "".join(o.label for o in obs)
+        object.__setattr__(self, "observables", obs)
+        object.__setattr__(self, "label", self.label or "".join(o.label for o in obs))
 
     @property
     def n_qubits(self) -> int:
@@ -485,7 +484,7 @@ def inequality_to_json_dict(ineq: BellInequality) -> dict:
         "n_qubits": ineq.n_qubits,
         "lhv_bound": ineq.lhv_bound,
         "settings": [
-            {"label": s.label, "coefficients": [float(c) for c in row]}
+            {"label": s.label, "coefficients": row.tolist()}
             for s, row in zip(ineq.settings, ineq.outcome_coeffs)
         ],
     }

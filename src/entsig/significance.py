@@ -129,7 +129,7 @@ class CountTable:
             "inequality": self.inequality,
             "mode": self.mode,
             "settings": [
-                {"label": label, "counts": [int(c) if self.mode == "sampled" else float(c) for c in vec]}
+                {"label": label, "counts": vec.tolist()}  # int64 counts as ints, float64 as floats
                 for label, vec in self.counts.items()
             ],
         }
@@ -395,38 +395,31 @@ class SweepTable:
     values: dict  # tag -> {"V": array, "E": array, "S": array}
     metadata: dict = field(default_factory=dict)
 
-    def header(self) -> list[str]:
-        cols = ["p", "F"]
-        for tag in self.tags:
-            cols += [f"V_{tag}", f"E_{tag}", f"S_{tag}"]
-        return cols
+    def _columns(self) -> list[tuple[str, np.ndarray]]:
+        """(name, values) of each column in table order: p, F, then V, E, S of each tag."""
+        return [("p", self.p), ("F", self.fidelity)] + [
+            (f"{key}_{tag}", self.values[tag][key]) for tag in self.tags for key in "VES"]
 
-    def rows(self):
-        for i in range(len(self.p)):
-            row = [float(self.p[i]), float(self.fidelity[i])]
-            for tag in self.tags:
-                row += [float(self.values[tag][key][i]) for key in ("V", "E", "S")]
-            yield row
+    def header(self) -> list[str]:
+        return [name for name, _ in self._columns()]
+
+    def rows(self) -> list[list[float]]:
+        """One list of Python floats per grid point, in ``header`` order."""
+        return np.column_stack([col for _, col in self._columns()]).tolist()
 
     def to_csv_text(self) -> str:
-        lines = [",".join(self.header())]
-        for row in self.rows():
-            lines.append(",".join(f"{x:.9g}" for x in row))
+        lines = [",".join(self.header())] + [",".join(f"{x:.9g}" for x in row) for row in self.rows()]
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
+        """The table as JSON-ready data; infinite values are spelled "inf"."""
         header = self.header()
-        rows = []
-        for row in self.rows():
-            rows.append(
-                {key: ("inf" if math.isinf(x) else float(f"{x:.9g}")) for key, x in zip(header, row)}
-            )
         return {
             "noise": self.noise,
             "n_qubits": self.n_qubits,
             "total_copies": self.total_copies,
             "metadata": self.metadata,
-            "rows": rows,
+            "rows": [{key: "inf" if math.isinf(x) else x for key, x in zip(header, row)} for row in self.rows()],
         }
 
 
@@ -653,8 +646,9 @@ def _monte_carlo_studies(rho, studies, trials: int, seed: int) -> list[MonteCarl
     if trials < 100:
         raise ValueError("need at least 100 trials for a meaningful comparison")
     expected = [_poisson_means(rho, q, b) for q, b in studies]
-    v_pred = [float(_finite_combine(*setting_estimates(x, q.outcome_coeffs)[:2], q)[0])
-              for x, (q, _) in zip(expected, studies)]
+    labels = [[s.label for s in q.settings] for q, _ in studies]  # a refusal names the setting
+    v_pred = [float(_finite_combine(*setting_estimates(x, q.outcome_coeffs, names)[:2], q)[0])
+              for x, (q, _), names in zip(expected, studies, labels)]
     v, e = np.zeros((2, len(studies), trials))
     block = min(trials, max(1, _BLOCK_COUNTS // max(x.size for x in expected)))
     draws = [np.empty((block,) + x.shape) for x in expected]  # float64 takes each int64 draw as setting_estimates would
@@ -669,7 +663,7 @@ def _monte_carlo_studies(rho, studies, trials: int, seed: int) -> list[MonteCarl
                 draws[k][i - start] = rng.poisson(x)
         for k, (q, _) in enumerate(studies):
             counts = draws[k][:stop - start]
-            v[k, start:stop], e[k, start:stop] = _finite_combine(*setting_estimates(counts, q.outcome_coeffs)[:2], q)
+            v[k, start:stop], e[k, start:stop] = _finite_combine(*setting_estimates(counts, q.outcome_coeffs, labels[k])[:2], q)
     summaries = []
     for vk, ek, vp in zip(v, e, v_pred):
         v_std, e_mean = float(np.std(vk, ddof=1)), float(np.mean(ek))

@@ -10,6 +10,7 @@ run this file alone:
     PYTHONPATH=src python -m pytest -q tests/test_built_once.py
 """
 
+import dataclasses
 import json
 import sys
 import threading
@@ -21,7 +22,14 @@ import pytest
 from entsig import SingleQubitObservable, ardehali, mermin, outcome_probabilities, pauli
 from entsig import inequalities
 from entsig.cli import main
-from entsig.inequalities import MeasurementSetting, _contraction_plan, _probability_rows
+from entsig.inequalities import (
+    MeasurementSetting,
+    _contraction_plan,
+    _probability_rows,
+    inequality_from_json_dict,
+    inequality_to_json_dict,
+    standard_observable,
+)
 from conftest import random_density
 
 CONSTRUCTORS = {"mermin": mermin, "ardehali": ardehali}
@@ -129,6 +137,29 @@ def test_shared_arrays_are_read_only(caches, name):
     for shared in (index, *(a for level in levels for a in level)):
         assert not shared.flags.writeable
     assert fields(CONSTRUCTORS[name](4)) == fields(BUILDERS[name].__wrapped__(4))
+
+
+@pytest.mark.parametrize("name", CONSTRUCTORS)
+def test_shared_settings_are_frozen(caches, name):
+    # every call shares the settings' objects: a write to one would reach every later call
+    setting = CONSTRUCTORS[name](4).settings[1]
+    label = setting.label
+    for field, value in (("label", "QQQQ"), ("observables", ())):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(setting, field, value)
+    assert CONSTRUCTORS[name](4).settings[1].label == label
+    assert fields(CONSTRUCTORS[name](4)) == fields(BUILDERS[name].__wrapped__(4))
+
+
+def test_shared_observables_are_frozen(caches):
+    # standard_observable("X") is one instance per process, shared by every setting built from it
+    x = standard_observable("X")
+    for field, value in (("label", "Q"), ("matrix", np.eye(2))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, field, value)
+    assert standard_observable("X").label == "X" and x.matrix.tobytes() == pauli("X").matrix.tobytes()
+    rebuilt = inequality_from_json_dict(inequality_to_json_dict(mermin(4)))  # reads the labels back
+    assert [s.label for s in rebuilt.settings] == [s.label for s in mermin(4).settings]
 
 
 @pytest.mark.parametrize("n", [4, 6])

@@ -514,6 +514,18 @@ class TestSweep:
         assert first[0] == "0"
         assert first[4] == "inf"
 
+    def test_rows_and_json_hold_the_columns_unrounded(self, mermin4, ardehali4):
+        table = significance_sweep((mermin4, ardehali4), "bitflip", np.linspace(0.0, 0.25, 7))
+        columns = [table.p, table.fidelity] + [table.values[tag][key] for tag in ("M", "A") for key in "VES"]
+        rows = table.rows()
+        assert all(type(x) is float for row in rows for x in row)
+        assert bits(rows) == bits(np.transpose(columns))
+        data = table.to_json_dict()
+        json.dumps(data, allow_nan=False)  # infinities are spelled "inf"
+        assert data["rows"][0]["S_M"] == "inf"
+        assert [list(row.values()) for row in data["rows"][1:]] == rows[1:]
+        assert list(data["rows"][0]) == table.header() == table.to_csv_text().split("\n")[0].split(",")
+
     def test_grid_validation(self, mermin4, ardehali4):
         with pytest.raises(ValueError):
             significance_sweep((mermin4, ardehali4), "bitflip", [0.0, 1.5])
@@ -1034,6 +1046,20 @@ class TestMonteCarlo:
             monte_carlo_study(rho_ghz4, mermin4, budget, trials=150.0)
         summary = monte_carlo_study(rho_ghz4, mermin4, budget, trials=np.int64(150), seed=3)
         assert summary == monte_carlo_study(rho_ghz4, mermin4, budget, trials=150, seed=3)
+
+    def test_refusal_names_the_setting(self, mermin4, rho_ghz4):
+        # as evaluate and the sweep do: 'XXYY', not "row 1"; the second study's labels name it
+        data = inequality_to_json_dict(mermin4)
+        for entry in data["settings"]:
+            entry["coefficients"] = [c * 3e307 for c in entry["coefficients"]]
+        big = inequality_from_json_dict({**data, "name": "big"})
+        noisy = apply_noise(rho_ghz4, "bitflip", 0.1)
+        message = re.escape("setting 'XXYY' has no finite estimate: mean nan, error nan")
+        with pytest.raises(ValueError, match=message):
+            monte_carlo_study(noisy, big, ShotBudget.equal_split(8000, big), 100)
+        studies = [(q, ShotBudget.equal_split(8000, q)) for q in (mermin4, big)]
+        with pytest.raises(ValueError, match=message):
+            _monte_carlo_studies(noisy, studies, 100, 0)
 
     def test_error_shrinks_with_root_two(self, mermin4, rho_ghz4):
         noisy = apply_noise(rho_ghz4, "bitflip", 0.05)
