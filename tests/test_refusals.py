@@ -1,7 +1,8 @@
 """Refusals of the public constructors and functions: exception type and message.
 
 Each case is a call on invalid input, the exception it raises and its full
-message; the messages are the ones these refusals have always given.
+message; the messages are the ones these refusals have always given.  The last
+two tests take a ``PureState`` where a ``DensityMatrix`` is usual.
 """
 
 import math
