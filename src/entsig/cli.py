@@ -38,6 +38,7 @@ from .significance import (
     NoCrossingError,
     ShotBudget,
     SignificanceReport,
+    _json_ready,
     _monte_carlo_studies,
     apply_noise,
     crossing_point,
@@ -65,23 +66,8 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _jsonable(value):
-    """Round floats to 9 significant digits; map non-finite to strings."""
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return float(_fmt(value))
-    return value
-
-
 def _dump_json(obj) -> str:
-    return json.dumps(_jsonable(obj), indent=2) + "\n"
+    return json.dumps(_json_ready(obj, _fmt), indent=2) + "\n"
 
 
 def _write_output(text: str, out: str | None) -> None:

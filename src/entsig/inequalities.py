@@ -516,11 +516,11 @@ def inequality_from_json_dict(data: dict) -> BellInequality:
             raise ValueError(f"setting {label!r} needs {d} coefficients")
         settings.append(MeasurementSetting(tuple(standard_observable(ch) for ch in label)))
         rows.append(coeffs)
-    op = np.zeros((d, d), dtype=complex)
+    op, parity = np.zeros((d, d), dtype=complex), reduce(np.kron, [np.array([1.0, -1.0])] * n)
     with np.errstate(over="ignore", invalid="ignore"):  # coefficients near the float limit: evaluate refuses V and E
-        for setting, row in zip(settings, rows):
-            u = setting.basis
-            op += (u * row) @ u.conj().T
+        for s, row in zip(settings, rows):  # a parity row on X/Y/A/B adds its term as the constructors do
+            term = set(s.label) <= set("XYAB") and np.array_equal(row, row[0] * parity)
+            op += row[0] * kron_all([o.matrix for o in s.observables]) if term else (s.basis * row) @ s.basis.conj().T
     return BellInequality(
         name=name, tag=tag, n_qubits=n,
         settings=tuple(settings), outcome_coeffs=np.array(rows),

@@ -45,6 +45,18 @@ class NoCrossingError(RuntimeError):
     """The significance difference does not change sign on the search span."""
 
 
+def _json_ready(value, fmt=None):
+    """``value`` with tuples as lists and each finite float rounded by ``fmt`` when one is given;
+    inf, -inf and nan, which JSON has no number for, are spelled as Python spells them."""
+    if isinstance(value, dict):
+        return {k: _json_ready(v, fmt) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_ready(v, fmt) for v in value]
+    if isinstance(value, float):
+        return str(value) if not math.isfinite(value) else float(fmt(value)) if fmt else value
+    return value
+
+
 @dataclass(eq=False)
 class ShotBudget:
     """Total state copies and their split across measurement settings."""
@@ -181,14 +193,14 @@ class SignificanceReport:
         return math.isinf(self.significance)
 
     def to_json_dict(self) -> dict:
-        return {
+        return _json_ready({
             "violation": self.violation,
             "error": self.error,
-            "significance": "inf" if self.infinite else self.significance,
+            "significance": self.significance,
             "degenerate": self.degenerate,
             "settings": [asdict(s) for s in self.per_setting],
             "metadata": self.metadata,
-        }
+        })
 
 
 def _significance_of(v: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -291,13 +303,16 @@ def _combine(means: np.ndarray, errors: np.ndarray, lhv_bound: float):
 
 
 def _finite_combine(means: np.ndarray, errors: np.ndarray, ineq: BellInequality):
-    """``_combine`` of ``ineq``'s settings, refused at the first point whose V or E is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):  # sums past the float range: refused below
+    """V, E, S and ``degenerate`` of ``ineq``'s settings (``_combine``, ``_significance_of``), refused at
+    the first point whose V or E is not finite, else at the first whose S is not finite while E > 0."""
+    with np.errstate(over="ignore", invalid="ignore"):  # sums and quotients past the float range: refused below
         v, e = _combine(means, errors, ineq.lhv_bound)
-    if (bad := np.flatnonzero(~(np.isfinite(v) & np.isfinite(e)))).size:
-        v0, e0 = float(np.ravel(v)[bad[0]]), float(np.ravel(e)[bad[0]])
-        raise ValueError(f"inequality {ineq.name!r} has no finite violation and error: V {v0!r}, E {e0!r}")
-    return v, e
+        s, degenerate = _significance_of(v, e)
+    for what, bad in (("violation and error", ~(np.isfinite(v) & np.isfinite(e))), ("significance", ~np.isfinite(s) & (e > 0))):
+        if (at := np.flatnonzero(bad)).size:
+            v0, e0 = float(np.ravel(v)[at[0]]), float(np.ravel(e)[at[0]])
+            raise ValueError(f"inequality {ineq.name!r} has no finite {what}: V {v0!r}, E {e0!r}")
+    return v, e, s, degenerate
 
 
 def evaluate(counts: CountTable, ineq: BellInequality) -> SignificanceReport:
@@ -322,8 +337,7 @@ def evaluate(counts: CountTable, ineq: BellInequality) -> SignificanceReport:
         rows.append(vec)
     means, errors, totals = setting_estimates(np.array(rows, dtype=float), ineq.outcome_coeffs, labels)
     estimates = tuple(map(SettingEstimate, labels, means.tolist(), errors.tolist(), totals.tolist()))
-    v, e = _finite_combine(means, errors, ineq)
-    s, degenerate = _significance_of(v, e)
+    v, e, s, degenerate = _finite_combine(means, errors, ineq)
     meta = {"inequality": ineq.name, "lhv_bound": ineq.lhv_bound,
             "mode": counts.mode, "total_counts": counts.total()}
     return SignificanceReport(float(v), float(e), float(s), bool(degenerate), estimates, meta)
@@ -412,15 +426,14 @@ class SweepTable:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        """The table as JSON-ready data; infinite values are spelled "inf"."""
         header = self.header()
-        return {
+        return _json_ready({
             "noise": self.noise,
             "n_qubits": self.n_qubits,
             "total_copies": self.total_copies,
             "metadata": self.metadata,
-            "rows": [{key: "inf" if math.isinf(x) else x for key, x in zip(header, row)} for row in self.rows()],
-        }
+            "rows": [dict(zip(header, row)) for row in self.rows()],
+        })
 
 
 def _sweep_evaluator(ineqs, noise: str, grid, initial_state, total_copies: float):
@@ -456,8 +469,7 @@ def _sweep_evaluator(ineqs, noise: str, grid, initial_state, total_copies: float
 
     def table(probs):
         means, errors, _ = setting_estimates(copies * probs, coeffs, labels)
-        ves = [_finite_combine(means[:, a:b], errors[:, a:b], q) for q, a, b in zip(ineqs, offsets, offsets[1:])]
-        return np.array([(v, e, _significance_of(v, e)[0]) for v, e in ves])
+        return np.array([_finite_combine(means[:, a:b], errors[:, a:b], q)[:3] for q, a, b in zip(ineqs, offsets, offsets[1:])])
 
     return state0, grid, rows, table
 
@@ -633,7 +645,7 @@ class MonteCarloSummary:
     coverage: float
 
     def to_json_dict(self) -> dict:
-        return {k: (v if not isinstance(v, float) or math.isfinite(v) else "nan") for k, v in asdict(self).items()}
+        return _json_ready(asdict(self))
 
 
 def _monte_carlo_studies(rho, studies, trials: int, seed: int) -> list[MonteCarloSummary]:
@@ -663,7 +675,7 @@ def _monte_carlo_studies(rho, studies, trials: int, seed: int) -> list[MonteCarl
                 draws[k][i - start] = rng.poisson(x)
         for k, (q, _) in enumerate(studies):
             counts = draws[k][:stop - start]
-            v[k, start:stop], e[k, start:stop] = _finite_combine(*setting_estimates(counts, q.outcome_coeffs, labels[k])[:2], q)
+            v[k, start:stop], e[k, start:stop] = _finite_combine(*setting_estimates(counts, q.outcome_coeffs, labels[k])[:2], q)[:2]
     summaries = []
     for vk, ek, vp in zip(v, e, v_pred):
         v_std, e_mean = float(np.std(vk, ddof=1)), float(np.mean(ek))

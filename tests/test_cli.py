@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -303,6 +304,79 @@ class TestReportCommand:
         assert lines[0] == "kind,label,mean,error,extra"
         assert lines[-1].startswith("total,")
         assert lines[-1].endswith("inf")
+
+
+# `report` of the Mermin tables that `predict --p 0.05` writes, predicted and
+# sampled with seed 5: CSV bytes, and the JSON's mode and total count.  No golden
+# reaches `report`, which reads a file, so its bytes are pinned here.
+REPORT_BYTES = {
+    (): ("predicted", 8000.0, """kind,label,mean,error,extra
+setting,XXXX,1,0,1000
+setting,XXYY,0.81,0.018544541,1000
+setting,XYXY,0.81,0.018544541,1000
+setting,XYYX,0.81,0.018544541,1000
+setting,YXXY,0.81,0.018544541,1000
+setting,YXYX,0.81,0.018544541,1000
+setting,YYXX,0.81,0.018544541,1000
+setting,YYYY,0.6561,0.0238648861,1000
+total,mermin4,2.5161,0.0513121115,49.0352068
+"""),
+    ("--seed", "5"): ("sampled", 7993.0, """kind,label,mean,error,extra
+setting,XXXX,1,0,1000
+setting,XXYY,0.812562313,0.0184045187,1003
+setting,XYXY,0.801571709,0.0187393138,1018
+setting,XYYX,0.823874755,0.0177289438,1022
+setting,YXXY,0.818181818,0.0184799006,968
+setting,YXYX,0.804281346,0.0189729008,981
+setting,YYXX,0.80239521,0.0188534089,1002
+setting,YYYY,0.633633634,0.0244766731,999
+total,mermin4,2.49650078,0.0515775133,48.4028916
+"""),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(REPORT_BYTES))
+def test_report_bytes(tmp_path, capsys, seed):
+    mode, total, csv = REPORT_BYTES[seed]
+    path = tmp_path / "counts.json"
+    assert run_cli(capsys, "predict", "--p", "0.05", *seed, "--out", str(path)) == (0, "", "")
+    assert run_cli(capsys, "report", "--counts", str(path), "--format", "csv") == (0, csv, "")
+    # the JSON holds the CSV's 9-digit numbers, each a float
+    *rows, (_, name, v, e, s) = (line.split(",") for line in csv.splitlines()[1:])
+    settings = [{"label": label, "mean": float(m), "error": float(err), "n_total": float(n)} for _, label, m, err, n in rows]
+    report = {"violation": float(v), "error": float(e), "significance": float(s), "degenerate": False,
+              "settings": settings, "metadata": {"inequality": name, "lhv_bound": 4.0, "mode": mode, "total_counts": total}}
+    assert run_cli(capsys, "report", "--counts", str(path)) == (0, json.dumps(report, indent=2) + "\n", "")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("bound, v", [(1e300, "-1e+300"), (-1e300, "1e+300")])
+def test_report_refuses_a_significance_past_the_float_range(tmp_path, capsys, fmt, bound, v):
+    # V = -+1e300 and E = 2.2e-85 are finite, V/E is not: one error line, no numpy warning
+    ineq, counts = tmp_path / "zz.json", tmp_path / "counts.json"
+    ineq.write_text(json.dumps({"name": "zz", "n_qubits": 2, "lhv_bound": bound,
+                                "settings": [{"label": "XX", "coefficients": [1, 1.000000001, 1, 1]}]}))
+    counts.write_text(json.dumps({"inequality": "zz", "mode": "predicted", "settings": [{"label": "XX", "counts": [1e150] * 4}]}))
+    message = f"error: inequality 'zz' has no finite significance: V {v}, E 2.1650636885992548e-85\n"
+    assert run_cli(capsys, "report", "--counts", str(counts), "--inequality", str(ineq), "--format", fmt) == (3, "", message)
+
+
+SWEEP = significance.SweepTable("bitflip", 1, 8.0, ("M",), np.zeros(1), np.ones(1), {"M": dict(V=np.ones(1), E=np.ones(1), S=np.ones(1))})
+
+
+# each JSON writer with the value x in one of its float fields, and where the written x is found
+@pytest.mark.parametrize("write, read", [
+    (lambda x: significance.SignificanceReport(1.0, 0.0, x).to_json_dict(), lambda d: d["significance"]),
+    (lambda x: dataclasses.replace(SWEEP, values={"M": {**SWEEP.values["M"], "S": np.array([x])}}).to_json_dict(),
+     lambda d: d["rows"][0]["S_M"]),
+    (lambda x: significance.MonteCarloSummary(100, 1.0, 1.0, 1.0, 1.0, x, 0.5).to_json_dict(), lambda d: d["std_ratio"]),
+    (lambda x: json.loads(cli._dump_json({"S": (x, 1 / 3)})), lambda d: d["S"][0]),
+], ids=["report", "sweep", "montecarlo", "cli"])
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan], ids=str)
+def test_json_writers_spell_non_finite_floats_alike(write, read, x):
+    data = write(x)
+    json.dumps(data, allow_nan=False)
+    assert read(data) == str(x)
 
 
 class TestPredictCommand:

@@ -623,6 +623,52 @@ class TestSerialization:
             expectation(rho, ineq.operator), abs=1e-10
         )
 
+    @pytest.mark.parametrize("builder", [mermin, ardehali])
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_round_trip_keeps_the_constructors_bits(self, builder, n):
+        ineq = builder(n)
+        rebuilt = inequality_from_json_dict(inequality_to_json_dict(ineq))
+        assert rebuilt.operator.tobytes() == ineq.operator.tobytes()
+        assert rebuilt.outcome_coeffs.tobytes() == ineq.outcome_coeffs.tobytes()
+        assert (rebuilt.name, rebuilt.tag, rebuilt.lhv_bound) == (ineq.name, ineq.tag, ineq.lhv_bound)
+        assert [s.label for s in rebuilt.settings] == [s.label for s in ineq.settings]
+
+    @staticmethod
+    def loaded_operator(labels, rows):
+        n = len(labels[0])
+        data = {"name": "f", "n_qubits": n, "lhv_bound": 1.0,
+                "settings": [{"label": label, "coefficients": list(row)} for label, row in zip(labels, rows)]}
+        return inequality_from_json_dict(data).operator
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_parity_rows_add_the_per_term_kron(self, data):
+        # TestParityOperatorOracle's rule for the constructors: each row c * parity adds c * kron_all, from 0
+        n = data.draw(st.integers(1, 4))
+        labels = data.draw(st.lists(st.text("XYAB", min_size=n, max_size=n), min_size=1, max_size=6, unique=True))
+        coeffs = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=len(labels), max_size=len(labels)))
+        parity = functools.reduce(np.kron, [np.array([1.0, -1.0])] * n)
+        op = np.zeros((2**n, 2**n), dtype=complex)
+        for label, c in zip(labels, coeffs):
+            op += c * kron_all([standard_observable(l).matrix for l in label])
+        assert self.loaded_operator(labels, [c * parity for c in coeffs]).tobytes() == op.tobytes()
+
+    @pytest.mark.parametrize("labels, rows, terms", [
+        (["ZX", "XY"], [[1.0, -1.0, -1.0, 1.0], [0.5, -0.5, -0.5, 0.5]], [False, True]),  # a Z label
+        (["XX", "YY"], [[1.0, 2.0, 3.0, 4.0], [-1.0, 1.0, 1.0, -1.0]], [False, True]),  # a row that is not c * parity
+        (["XZ", "AB"], [[1.0, 1.0, -1.0, -1.0], [0.25, 0.5, 0.5, 0.25]], [False, False]),
+    ])
+    def test_other_rows_keep_the_eigenbasis_sum(self, labels, rows, terms):
+        # a row that is not an X/Y/A/B parity row adds (u * row) @ u^dagger in its eigenbasis u
+        op = np.zeros((4, 4), dtype=complex)
+        for label, row, term in zip(labels, map(np.array, rows), terms):
+            setting = MeasurementSetting(tuple(map(standard_observable, label)))
+            if term:
+                op += row[0] * kron_all([o.matrix for o in setting.observables])
+            else:
+                op += (setting.basis * row) @ setting.basis.conj().T
+        assert self.loaded_operator(labels, rows).tobytes() == op.tobytes()
+
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
             inequality_from_json_dict({"name": "x"})

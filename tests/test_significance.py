@@ -37,6 +37,10 @@ from entsig import (
     inequality_to_json_dict,
     lhv_bound_bruteforce,
     mermin,
+    generic_inequality,
+    MeasurementSetting,
+    ProductObservable,
+    standard_observable,
 )
 import entsig.significance as significance
 from entsig.inequalities import SQRT2, _XY, _even_y_coefficient, _parity_inequality
@@ -448,6 +452,27 @@ class TestEvaluate:
         big = inequality_from_json_dict({**data, "name": "big", "tag": "B", "lhv_bound": 0.0})
         with pytest.raises(ValueError, match=re.escape("inequality 'big' has no finite violation and error: V inf, E 0.0")):
             run(big, rho_ghz4)
+
+    @pytest.mark.parametrize("bound, v", [(1e300, "-1e+300"), (-1e300, "1e+300")])
+    def test_significance_past_the_float_range_is_refused(self, bound, v):
+        # V and E are finite, but V/E is not: refused in the words of V and E, with no numpy warning;
+        # an infinite S is kept for an exact-zero error alone
+        zz = inequality_from_json_dict({"name": "zz", "n_qubits": 2, "lhv_bound": bound,
+                                        "settings": [{"label": "XX", "coefficients": [1, 1.000000001, 1, 1]}]})
+        table = CountTable("zz", {"XX": [1e150] * 4}, mode="predicted")
+        message = f"inequality 'zz' has no finite significance: V {v}, E 2.1650636885992548e-85"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evaluate(table, zz)
+
+    @pytest.mark.parametrize("grid", [[1e-300], [0.0, 1e-300]])
+    def test_sweep_significance_past_the_float_range_is_refused(self, grid):
+        # at p = 0 the ZZ row is flat (E = 0, S = 0, degenerate); at 1e-300 its E is 3.2e-152
+        z = standard_observable("Z")
+        zz = generic_inequality([ProductObservable(1.0, (z, z))], [MeasurementSetting((z, z))], [0], 1e300)
+        message = "inequality 'custom' has no finite significance: V -1e+300, E 3.1622776601683796e-152"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            significance_sweep([zz], "bitflip", grid)
+        assert significance_sweep([zz], "bitflip", [0.0]).values["custom"]["S"].tolist() == [0.0]
 
 
 class TestVarianceModel:
