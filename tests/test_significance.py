@@ -474,6 +474,15 @@ class TestEvaluate:
             significance_sweep([zz], "bitflip", grid)
         assert significance_sweep([zz], "bitflip", [0.0]).values["custom"]["S"].tolist() == [0.0]
 
+    def test_crossing_read_past_the_float_range_is_refused(self):
+        # the model certifies no gap here; the exact read of the coarse grid is refused at p = 1e-299/32
+        z = standard_observable("Z")
+        pair = [generic_inequality([ProductObservable(1.0, (z, z))], [MeasurementSetting((z, z))], [0], bound, name=name)
+                for name, bound in (("a", 1e300), ("b", 0.5))]
+        message = "inequality 'a' has no finite significance: V -1e+300, E 1.7677669529663692e-152"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            crossing_point("bitflip", ineqs=pair, span=(0.0, 1e-299))
+
 
 class TestVarianceModel:
     def test_eigenstate_gives_infinite_s(self, ghz4, witness4):
