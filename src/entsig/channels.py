@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, _PAULI, _freeze, require_hermitian
+from .core import DensityMatrix, _PAULI, _freeze, _work, require_hermitian
 from .tolerances import DEFAULT
 
 
@@ -83,19 +83,23 @@ def _bit_flip_all(m: np.ndarray, p) -> np.ndarray:
     """Bit-flip on every qubit of a (..., d, d) stack, p broadcast over the
     leading axes.  Per qubit, on v = m viewed as (..., a, 2, c, a, 2, c), it
     rounds s*(s*v) + t*(t*XvX) with s = sqrt(1-p), t = sqrt(p), exactly as the
-    Kraus path of ``apply_to_all`` does ((1-p)*v + p*XvX would not)."""
-    d = m.shape[-1]
+    Kraus path of ``apply_to_all`` does ((1-p)*v + p*XvX would not), into the ``stack`` work array."""
+    d, shape, (out,), (flipped,) = m.shape[-1], m.shape, _work(m.size, stack=True), _work(m.size)
     s, t = (np.reshape(np.sqrt(x), np.shape(x) + (1,) * 6) for x in (1.0 - np.asarray(p), p))
     for q in range(d.bit_length() - 1):
-        v = m.reshape(*m.shape[:-2], 2**q, 2, d >> (q + 1), 2**q, 2, d >> (q + 1))
-        m = (s * (s * v) + t * (t * v[..., ::-1, :, :, ::-1, :])).reshape(m.shape)
-    return m
+        split = (*shape[:-2], 2**q, 2, d >> (q + 1), 2**q, 2, d >> (q + 1))
+        v, m, f = m.reshape(split), out.reshape(split), flipped.reshape(split)
+        np.multiply(t, np.multiply(t, v[..., ::-1, :, :, ::-1, :], out=f), out=f)  # before m, which may be v
+        np.add(np.multiply(s, np.multiply(s, v, out=m), out=m), f, out=m)
+    return out.reshape(shape)
 
 
 def _white_mix(m: np.ndarray, q) -> np.ndarray:
-    """(1-q) m + q 1/d on a (..., d, d) stack, q broadcast over the leading axes."""
+    """(1-q) m + q 1/d on a (..., d, d) stack, q broadcast over the leading axes, into the ``stack`` work array."""
     d, q = m.shape[-1], np.reshape(q, np.shape(q) + (1, 1))
-    return (1.0 - q) * m + q * (np.eye(d, dtype=complex) / d)
+    shape = np.broadcast(q, m).shape
+    out, mixed = (_work(math.prod(shape), stack=stack)[0].reshape(shape) for stack in (True, False))
+    return np.add(np.multiply(1.0 - q, m, out=out), np.multiply(q, np.eye(d, dtype=complex) / d, out=mixed), out=out)
 
 
 def white_noise(rho: DensityMatrix, q: float) -> DensityMatrix:

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .channels import AnsatzParams, experimental_ansatz
-from .core import DensityMatrix, PureState, ghz_state
+from .core import DensityMatrix, PureState
 from .improve import exact_improvement, separable_safety_check
 from .inequalities import (
     BellInequality,
@@ -38,6 +38,7 @@ from .significance import (
     NoCrossingError,
     ShotBudget,
     SignificanceReport,
+    _as_initial_state,
     _json_ready,
     _monte_carlo_studies,
     apply_noise,
@@ -106,7 +107,7 @@ def _parse_span(text: str | None):
 
 def _initial_state(args) -> tuple[DensityMatrix, dict]:
     if args.state == "ghz":
-        return DensityMatrix.from_pure(ghz_state(args.qubits)), {"state": "ghz"}
+        return _as_initial_state(None, args.qubits), {"state": "ghz"}
     params = AnsatzParams(**{name: getattr(args, name) for name in _ANSATZ_KEYS})
     if args.qubits != 4:
         raise ValueError("--state ansatz is a 4-qubit model; use --qubits 4")

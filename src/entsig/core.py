@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import contextlib
 import math
+import threading
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -31,6 +33,22 @@ _PAULI = {
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+_WORK = threading.local()
+
+
+def _work(*sizes: int, stack: bool = False) -> list[np.ndarray]:
+    """Flat complex views of ``sizes`` entries, stale until written, from the calling thread's noise-map
+    output ``stack`` or its temporaries: two arrays grown to the largest request and reused until its next
+    request, so a chunk asks the OS for no fresh pages.  Each starts on a page and its views 80 entries
+    (1280 bytes) apart: views a multiple of 4096 bytes apart slow loops that read one and write another."""
+    key, starts = "stack" if stack else "temp", list(accumulate((-(-s // 4) * 4 + 80 for s in sizes), initial=0 if stack else 80))
+    if len(work := getattr(_WORK, key, ())) < starts[-1]:
+        page = np.empty(16 * starts[-1] + 4096, dtype=np.uint8)
+        work = page[-page.ctypes.data % 4096:][:16 * starts[-1]].view(complex)
+        setattr(_WORK, key, work)
+    return [work[a:a + size] for a, size in zip(starts, sizes)]
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:

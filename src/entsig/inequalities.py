@@ -21,6 +21,7 @@ from .core import (
     SingleQubitObservable,
     _freeze,
     _matrix,
+    _work,
     expectation,
     ghz_state,
     kron_all,
@@ -364,16 +365,16 @@ def _probability_rows(rho, plan) -> np.ndarray:
 
     A product setting's outcome distribution factorizes qubit by qubit, so rho
     is contracted with one 2x2 eigenbasis at a time, the G states innermost:
-    (d, d, G).  Per level, one transpose and one ``np.take`` copy the parents'
-    (prefix, 2h, 2h, G) blocks, split by qubit k's row and column bit, into
-    (node, prefix, h, h, G) blocks v[i, j]; t00*v00 + t01*v01 + t10*v10 +
+    (d, d, G).  Per level, one transposing copy and one ``np.take`` copy the
+    parents' (prefix, 2h, 2h, G) blocks, split by qubit k's row and column bit,
+    into (node, prefix, h, h, G) blocks v[i, j]; t00*v00 + t01*v01 + t10*v10 +
     t11*v11 scales whole blocks by one (node, outcome) entry each, the new
-    outcome bit going in front of the prefix.  Only separately rounded
-    elementwise products and sums are used, so outcomes that rho cannot
-    produce come out exactly 0.0 (the zero-error rule and Poisson sampling
-    depend on it); the few values close enough to zero to differ in that from
-    the per-setting sum are settled by it (``_settle_zeros``).  A state's rows
-    are the same bits alone or in a stack.  They come back as one
+    outcome bit going in front of the prefix, in ``core._work`` arrays.  Only
+    separately rounded elementwise products and sums are used, so outcomes that
+    rho cannot produce come out exactly 0.0 (the zero-error rule and Poisson
+    sampling depend on it); the few values close enough to zero to differ in
+    that from the per-setting sum are settled by it (``_settle_zeros``).  A
+    state's rows are the same bits alone or in a stack.  They come back as one
     C-contiguous (G, S, d) copy: ``setting_estimates`` rounds by memory layout.
     """
     levels, index, settings = plan
@@ -381,16 +382,17 @@ def _probability_rows(rho, plan) -> np.ndarray:
     lead, d = m.shape[:-2], 2 ** len(levels)
     if m.shape[-2:] != (d, d):
         raise ValueError("state and setting dimensions differ")
-    r = m.reshape(-1, d * d).T.reshape(1, 1, d, d, -1).copy()
-    for parents, t00, t01, t10, t11 in levels:
-        n_prefix, h = r.shape[1], r.shape[2] // 2
-        v = np.take(r.reshape(-1, n_prefix, 2, h, 2, h, r.shape[-1]).transpose(2, 4, 0, 1, 3, 5, 6), parents, axis=2)
-        r = t00 * v[0, 0, :, None]
+    r = m.reshape(-1, d * d).T  # (d*d, G), a view: the first level copies from rho itself
+    sizes, layout = _level_shapes(tuple(len(level[0]) for level in levels), d, r.shape[1])
+    moved, taken, prod, total = _work(*sizes)
+    for (parents, t00, t01, t10, t11), (split, (a, a_shape), (b, b_shape), (c, shape)) in zip(levels, layout):
+        v = moved[:a].reshape(a_shape)
+        np.copyto(v, r.reshape(split).transpose(2, 4, 0, 1, 3, 5, 6))
+        v = np.take(v, parents, axis=2, out=taken[:b].reshape(b_shape), mode="clip")
+        r, tmp = np.multiply(t00, v[0, 0, :, None], out=total[:c].reshape(shape)), prod[:c].reshape(shape)
         for t, vij in ((t01, v[0, 1]), (t10, v[1, 0]), (t11, v[1, 1])):
-            r += t * vij[:, None]
-        r = r.reshape(len(parents), 2 * n_prefix, h, h, r.shape[-1])
+            r += np.multiply(t, vij[:, None], out=tmp)
     p = r.real.reshape(-1, r.shape[-1]).T.take(index, axis=1).reshape(*lead, *index.shape)
-    del r, v  # the kernel's blocks are not kept while the zeros are settled
     lowest = float(p.min())
     if lowest < -DEFAULT.prob_floor:
         raise ValueError(f"negative outcome probability {lowest:.3e}")
@@ -401,6 +403,17 @@ def _probability_rows(rho, plan) -> np.ndarray:
     if bad.size:
         raise ValueError(f"outcome probabilities sum to {float(sums.flat[bad[0]])!r}")
     return p
+
+
+@lru_cache(maxsize=32)
+def _level_shapes(nodes: tuple, d: int, states: int) -> tuple:
+    """Work sizes and, per level, the split parents and (size, shape) of moved, taken and summed blocks."""
+    layout = []
+    for k, (g, n) in enumerate(zip((1, *nodes), nodes)):
+        h = d >> (k + 1)
+        shapes = (2, 2, g, 2**k, h, h, states), (2, 2, n, 2**k, h, h, states), (n, 2, 2**k, h, h, states)
+        layout.append(((g, 2**k, 2, h, 2, h, states), *((math.prod(s), s) for s in shapes)))
+    return tuple(max(level[i][0] for level in layout) for i in (1, 2, 3, 3)), tuple(layout)
 
 
 def _gamma(m: int) -> float:
@@ -432,7 +445,7 @@ def _settle_zeros(m, p, settings) -> None:
     near = p <= bound
     if not near.any():
         return
-    parts = np.abs(m.reshape(p.shape[0], -1).view(float))  # real and imaginary parts of each state
+    parts = np.abs(m.reshape(p.shape[0], -1).view(float), out=_work(m.size)[0].view(float).reshape(p.shape[0], -1))  # |re|, |im|
     tiny = ((parts > 0.0) & (parts <= bound * parts.max(axis=1, keepdims=True))).any(axis=1)
     near &= (p > 0.0) | tiny[:, None, None]
     if not near.any():

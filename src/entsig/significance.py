@@ -14,8 +14,10 @@ infinite when the error is exactly zero while the violation is positive.
 from __future__ import annotations
 
 import contextlib
+import copy
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -273,7 +275,8 @@ def setting_estimates(counts, coeffs, labels=None) -> tuple[np.ndarray, np.ndarr
         if not np.finfo(float).tiny <= x * x < math.inf:  # False for NaN too
             raise ValueError(f"setting total {x!r} has no finite positive normal square")
     supported = n > 0
-    spread = np.where(supported, lam, -np.inf).max(axis=-1) - np.where(supported, lam, np.inf).min(axis=-1)
+    hit, lam_t = np.ascontiguousarray(np.moveaxis(supported, -1, 0)), np.expand_dims(lam.T, tuple(range(1, n.ndim - 1)))
+    spread = np.where(hit, lam_t, -np.inf).max(axis=0) - np.where(hit, lam_t, np.inf).min(axis=0)  # exact: outcome-first is fastest
     flat = spread <= DEFAULT.coeff_spread
     with np.errstate(over="ignore", invalid="ignore"):  # huge coefficients: refused below
         mean = _row_dot(lam, n) / n_tot
@@ -369,8 +372,8 @@ def variance_model_significance(state, test, copies: float | None = None) -> Sig
 
 
 def _as_initial_state(initial_state, n: int) -> DensityMatrix:
-    if initial_state is None:
-        return DensityMatrix.from_pure(ghz_state(n))
+    if initial_state is None:  # each call gets its own copy of the shared, read-only GHZ_n
+        return copy.copy(_ghz(n) if type(n) is int else _ghz.__wrapped__(n))
     if isinstance(initial_state, PureState):
         return DensityMatrix.from_pure(initial_state)
     if not isinstance(initial_state, DensityMatrix):
@@ -380,8 +383,14 @@ def _as_initial_state(initial_state, n: int) -> DensityMatrix:
     return initial_state
 
 
+@cache
+def _ghz(n: int) -> DensityMatrix:
+    """GHZ_n as a density matrix, built and validated once per int n, as ``mermin(n)``."""
+    return DensityMatrix.from_pure(ghz_state(n))
+
+
 def _noisy_stack(m: np.ndarray, family: str, ps) -> np.ndarray:
-    """Unvalidated (G, d, d) stack of ``m`` under each noise strength in ``ps``."""
+    """Unvalidated (G, d, d) stack of ``m`` under each noise strength in ``ps``, valid until the thread's next noise map."""
     if family not in _NOISE:
         raise ValueError(f"unknown noise family {family!r}; expected one of {NOISE_FAMILIES}")
     what, noise = _NOISE[family]

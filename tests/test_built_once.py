@@ -1,8 +1,9 @@
-"""Constructors and contraction plans built once per process.
+"""Constructors, contraction plans and the GHZ initial state built once per process.
 
 ``mermin(n)`` and ``ardehali(n)`` build each int n once and return a fresh
 object over the same read-only arrays and settings on every call;
-``_contraction_plan`` derives the plan of a tuple of observables once.  The
+``_contraction_plan`` derives the plan of a tuple of observables once, and
+``_as_initial_state(None, n)`` validates the GHZ_n density matrix once.  The
 ``caches`` fixture empties those caches before each test, so the first call is
 checked too, whatever ran before.  To check it in a fresh interpreter as well,
 run this file alone:
@@ -19,8 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entsig import SingleQubitObservable, ardehali, mermin, outcome_probabilities, pauli
-from entsig import inequalities
+from entsig import DensityMatrix, SingleQubitObservable, ardehali, ghz_state, mermin, outcome_probabilities, pauli
+from entsig import core, inequalities, significance
 from entsig.cli import main
 from entsig.inequalities import (
     MeasurementSetting,
@@ -67,7 +68,7 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_te
 
 
 def _clear():
-    for built in (inequalities._mermin, inequalities._ardehali, inequalities._plan):
+    for built in (inequalities._mermin, inequalities._ardehali, inequalities._plan, significance._ghz):
         built.cache_clear()
 
 
@@ -75,7 +76,7 @@ def _clear():
 def caches(request):
     _clear()
     if request.param == "warm":
-        mermin(4), ardehali(6)
+        mermin(4), ardehali(6), significance._as_initial_state(None, 4), significance._as_initial_state(None, 6)
     yield request.param
     _clear()
 
@@ -226,3 +227,33 @@ def test_cli_bytes_cold_then_warm(caches, capsys, name):
         captured = capsys.readouterr()
         outputs.append((code, captured.out, captured.err))
     assert outputs[0] == outputs[1] == (case["exit"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_ghz_initial_state_is_a_fresh_copy_of_one_build(caches, n):
+    expected, misses = DensityMatrix.from_pure(ghz_state(n)), significance._ghz.cache_info().misses
+    first, second = significance._as_initial_state(None, n), significance._as_initial_state(None, n)
+    assert first is not second and significance._ghz.cache_info().misses - misses == (caches == "cold")
+    assert first.matrix is second.matrix and not first.matrix.flags.writeable  # validated once, shared read-only
+    for state in (first, second):
+        assert type(state.n_qubits) is int and state.matrix.tobytes() == expected.matrix.tobytes()
+    first.matrix, first.n_qubits = np.zeros_like(first.matrix), 0  # a caller's writes stay with its copy
+    again = significance._as_initial_state(None, n)
+    assert again.n_qubits == n and again.matrix.tobytes() == expected.matrix.tobytes()
+    built = significance._as_initial_state(None, np.int64(n))  # a numpy integer is built anew
+    assert type(built.n_qubits) is np.int64 and built.matrix.tobytes() == expected.matrix.tobytes()
+
+
+@pytest.mark.parametrize("argv, cold, warm", [(["sweep", "--grid", "0:0.2:5"], 1, 0), (["crossing"], 2, 1),
+                                              (["sweep", "--qubits", "6", "--grid", "0:0.2:3"], 1, 0)])
+def test_cli_validates_the_ghz_state_once(caches, monkeypatch, capsys, argv, cold, warm):
+    # DensityMatrix validations, the crossing's state at p* included: the GHZ state only on the first call
+    made, validate = [], core._validate_stack
+    monkeypatch.setattr(core, "_validate_stack", lambda m: made.append(m.shape) or validate(m))
+    counts = []
+    for _ in range(2):
+        del made[:]
+        assert main(list(argv)) == 0
+        counts.append(len(made))
+    capsys.readouterr()
+    assert counts == ([cold, warm] if caches == "cold" else [warm, warm])
