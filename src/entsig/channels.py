@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, _PAULI, _freeze, _work, require_hermitian
+from .core import DensityMatrix, _PAULI, _freeze, _require_finite, _work, require_hermitian
 from .tolerances import DEFAULT
 
 
@@ -25,6 +25,7 @@ class SingleQubitChannel:
             raise ValueError("channel needs at least one Kraus operator")
         if any(k.shape != (2, 2) for k in ops):
             raise ValueError("Kraus operators must be 2x2")
+        _require_finite(np.array(ops), f"channel {self.name!r}")  # a NaN closure defect would pass "> kraus_sum"
         closure = sum(k.conj().T @ k for k in ops)
         if np.max(np.abs(closure - np.eye(2))) > DEFAULT.kraus_sum:
             raise ValueError(f"channel {self.name!r} is not trace preserving")
@@ -38,7 +39,7 @@ def _require_unit(x, what: str) -> None:
 
 def bit_flip_channel(p: float) -> SingleQubitChannel:
     """Flip the qubit with probability p: rho -> (1-p) rho + p X rho X."""
-    _require_unit(p, "flip probability")
+    _require_unit(p, _NOISE["bitflip"][0])
     k0 = math.sqrt(1.0 - p) * np.eye(2, dtype=complex)
     k1 = math.sqrt(p) * _PAULI["X"]
     return SingleQubitChannel((k0, k1), name=f"bitflip({p:g})")
@@ -102,10 +103,27 @@ def _white_mix(m: np.ndarray, q) -> np.ndarray:
     return np.add(np.multiply(1.0 - q, m, out=out), np.multiply(q, np.eye(d, dtype=complex) / d, out=mixed), out=out)
 
 
+# noise family -> (its strength in range errors, its (G, d, d) stack map, the strength range of the default
+# sweep grid and crossing search, its degree as a polynomial in the strength on n qubits)
+_NOISE = {"bitflip": ("flip probability", _bit_flip_all, (0.0, 0.25), lambda n: n),
+          "white": ("white-noise weight", _white_mix, (0.0, 0.9), lambda n: 1)}
+NOISE_FAMILIES = tuple(_NOISE)
+DEFAULT_SPAN = {family: span for family, (_, _, span, _) in _NOISE.items()}
+
+
+def _noisy_stack(m: np.ndarray, family: str, ps) -> np.ndarray:
+    """Unvalidated (G, d, d) stack of ``m`` under each noise strength in ``ps``, valid until the thread's next noise map."""
+    if family not in _NOISE:
+        raise ValueError(f"unknown noise family {family!r}; expected one of {NOISE_FAMILIES}")
+    what, noise = _NOISE[family][:2]
+    for p in ps:
+        _require_unit(p, what)
+    return noise(np.broadcast_to(m, (len(ps),) + m.shape), np.array(ps, dtype=float))
+
+
 def white_noise(rho: DensityMatrix, q: float) -> DensityMatrix:
     """Admix the maximally mixed state: rho -> (1-q) rho + q 1/2**n."""
-    _require_unit(q, "white-noise weight")
-    return DensityMatrix(rho.n_qubits, _white_mix(rho.matrix, q))
+    return DensityMatrix(rho.n_qubits, _noisy_stack(rho.matrix, "white", [q])[0])
 
 
 @dataclass(frozen=True)

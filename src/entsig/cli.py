@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .channels import AnsatzParams, experimental_ansatz
+from .channels import DEFAULT_SPAN, NOISE_FAMILIES, AnsatzParams, experimental_ansatz
 from .core import DensityMatrix, PureState
 from .improve import exact_improvement, separable_safety_check
 from .inequalities import (
@@ -32,8 +32,6 @@ from .inequalities import (
     projector_witness,
 )
 from .significance import (
-    DEFAULT_SPAN,
-    NOISE_FAMILIES,
     CountTable,
     NoCrossingError,
     ShotBudget,
@@ -210,8 +208,9 @@ def cmd_predict(args) -> str:
 def cmd_improve(args) -> str:
     if not math.isfinite(args.c0 * args.c0 + args.c1 * args.c1):  # NaN, Inf or a norm that overflows
         raise ValueError(f"--c0 and --c1 must be finite with a finite norm, got {args.c0!r} and {args.c1!r}")
-    amp = np.zeros(2**args.qubits, dtype=complex)
-    amp[0], amp[-1] = args.c0, args.c1
+    # scaled by 2**-e, exactly, so that squares of amplitudes below 0.5 neither underflow nor lose bits
+    amp, e = np.zeros(2**args.qubits, dtype=complex), min(0, math.frexp(max(abs(args.c0), abs(args.c1)))[1])
+    amp[0], amp[-1] = math.ldexp(args.c0, -e), math.ldexp(args.c1, -e)
     norm = float(np.linalg.norm(amp))
     if norm == 0:
         raise ValueError("state amplitudes are all zero")
@@ -221,7 +220,7 @@ def cmd_improve(args) -> str:
     s_before, s_after = result.significance_before.significance, result.significance_after.significance
     payload = {
         "witness": w.name,
-        "state": {"c0": args.c0, "c1": args.c1, "normalization": norm},
+        "state": {"c0": args.c0, "c1": args.c1, "normalization": math.ldexp(norm, e)},
         "expectation_after": result.expectation_after,
         "deviation_after": result.deviation_after,
         "eigen_residual": result.eigen_residual,

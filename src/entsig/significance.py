@@ -21,16 +21,11 @@ from functools import cache
 
 import numpy as np
 
-from .channels import _bit_flip_all, _require_unit, _white_mix
+from .channels import _NOISE, DEFAULT_SPAN, NOISE_FAMILIES, _noisy_stack
 from .core import DensityMatrix, PureState, _validate_stack, expectation, fidelity_with_pure, ghz_state, variance
 from .inequalities import BellInequality, Witness, _contraction_plan, _gamma, _probability_rows, ardehali, mermin
 from .tolerances import DEFAULT
 
-# noise family -> (its strength in range errors, its (G, d, d) stack map)
-_NOISE = {"bitflip": ("flip probability", _bit_flip_all), "white": ("white-noise weight", _white_mix)}
-NOISE_FAMILIES = tuple(_NOISE)
-# noise-parameter range of the default sweep grid and crossing search
-DEFAULT_SPAN = {"bitflip": (0.0, 0.25), "white": (0.0, 0.9)}
 # state entries per chunk of (G, d, d) states: a sweep evaluates every point, so its
 # chunks are big and few (64 points at 4 qubits, 4 at 6); a crossing evaluates only its
 # model's nodes and the points the model cannot certify, in small chunks (16 points and 1)
@@ -389,16 +384,6 @@ def _ghz(n: int) -> DensityMatrix:
     return DensityMatrix.from_pure(ghz_state(n))
 
 
-def _noisy_stack(m: np.ndarray, family: str, ps) -> np.ndarray:
-    """Unvalidated (G, d, d) stack of ``m`` under each noise strength in ``ps``, valid until the thread's next noise map."""
-    if family not in _NOISE:
-        raise ValueError(f"unknown noise family {family!r}; expected one of {NOISE_FAMILIES}")
-    what, noise = _NOISE[family]
-    for p in ps:
-        _require_unit(p, what)
-    return noise(np.broadcast_to(m, (len(ps),) + m.shape), np.array(ps, dtype=float))
-
-
 def apply_noise(state: DensityMatrix, family: str, p: float) -> DensityMatrix:
     """Bit-flip on every qubit, or global white noise, at strength p."""
     return DensityMatrix(state.n_qubits, _noisy_stack(state.matrix, family, [p])[0])
@@ -550,7 +535,7 @@ def _sign_source(ineqs, noise: str, span, coarse: int, initial_state, total_copi
     points, ``batch`` per estimate pass, a node taking its rows (README, "Crossing search", steps 1-4)."""
     (lo, hi), n, spread, copies, terms = span, ineqs[0].n_qubits, DEFAULT.coeff_spread, [], []
     state0, grid, rows, table = _sweep_evaluator(ineqs, noise, np.linspace(lo, hi, coarse), initial_state, total_copies)
-    k, d, m0, coeffs = n + 1 if noise == "bitflip" else 2, 2**n, state0.matrix, np.concatenate([q.outcome_coeffs for q in ineqs])
+    k, d, m0, coeffs = _NOISE[noise][3](n) + 1, 2**n, state0.matrix, np.concatenate([q.outcome_coeffs for q in ineqs])
     nodes = np.minimum(lo + (hi - lo) * (0.5 - 0.5 * np.cos(np.pi * np.arange(k) / (k - 1))), hi)
     node_rows = np.full((k, len(coeffs), d), np.nan)
     with np.errstate(all="ignore"), contextlib.suppress(ValueError):  # refused nodes: NaN rows certify nothing
@@ -599,7 +584,7 @@ def crossing_point(
     the default pair) swaps significance order on ``span`` (the family's ``DEFAULT_SPAN`` by default): the first
     sign change of S_first - S_second on a ``coarse``-point grid (infinities larger than any finite value, ties
     skipped), bisected to the configured resolution; p* is the all-exact search's to the bit (README)."""
-    if noise not in DEFAULT_SPAN:
+    if noise not in _NOISE:
         raise ValueError(f"unknown noise family {noise!r}; expected one of {NOISE_FAMILIES}")
     ineqs = (mermin(4 if n is None else n), ardehali(4 if n is None else n)) if ineqs is None else tuple(ineqs)
     if len(ineqs) != 2:

@@ -19,6 +19,8 @@ from entsig import (
     kron_all,
     white_noise,
 )
+from entsig.channels import _NOISE
+from entsig.inequalities import _gamma
 from entsig.significance import _noisy_stack
 from conftest import random_density
 
@@ -78,6 +80,13 @@ class TestBitFlipChannel:
     def test_kraus_closure_enforced(self):
         with pytest.raises(ValueError):
             SingleQubitChannel((np.eye(2) * 0.5,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_kraus_operator_refused_before_any_arithmetic(self, bad):
+        # the closure check compared a NaN defect (and warned in the product first), so the channel was
+        # built, and ``apply_local`` later refused the state it made
+        with pytest.raises(ValueError, match="^channel 'bad' contains NaN or Inf entries$"):
+            SingleQubitChannel((np.array([[bad, 0], [0, 1]]),), "bad")
 
 
 class TestApplyLocal:
@@ -191,6 +200,22 @@ class TestNoiseStack:
         bad = math.nan if family == "bitflip" else 1.5
         with pytest.raises(ValueError, match=message):
             _noisy_stack(rho_ghz4.matrix, family, [0.1, bad, 0.2])
+
+
+class TestNoiseRecord:
+    # README, "Crossing search": the model's k = degree + 1 nodes reproduce each probability exactly (step 2),
+    # and step 1 takes both maps as mixtures that do not increase ||rho||_F
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("family", list(_NOISE))
+    def test_degree_and_norm(self, rng, family, n):
+        rho, degree = random_density(rng, n), _NOISE[family][3](n)
+        stack = np.array(_noisy_stack(rho.matrix, family, np.linspace(0.0, 1.0, degree + 2).tolist()))
+        # a difference of order j sums 2**j entries, each within gamma_{7n} max|rho| of the exact map's
+        rounding = 2 ** (degree + 1) * _gamma(7 * n) * np.abs(rho.matrix).max()
+        assert np.abs(np.diff(stack, degree + 1, axis=0)).max() <= rounding  # degree at most ``degree``
+        assert np.abs(np.diff(stack, degree, axis=0)).max() > rounding  # and not less
+        norm, d = np.linalg.norm(rho.matrix), 2**n
+        assert np.all(np.linalg.norm(stack, axis=(1, 2)) <= norm * (1 + _gamma(7 * n + d * d + 1)))
 
 
 class TestExperimentalAnsatz:

@@ -442,6 +442,22 @@ class TestImproveCommand:
         message = f"error: --c0 and --c1 must be finite with a finite norm, got {float(c0)!r} and {float(c1)!r}\n"
         assert run_cli(capsys, "improve", f"--c0={c0}", f"--c1={c1}") == (2, "", message)
 
+    def test_amplitude_scale_keeps_the_result(self, capsys):
+        # 2**k (0.8, 0.6) is the default state; where the squares underflowed, k = -540 read "all zero"
+        # and (1e-160, 1e-160) "not normalized"
+        _, out, _ = run_cli(capsys, "improve")
+        line, payload = out.split("\n", 1)
+        default = json.loads(payload)
+        for k in [*range(-1020, 1, 17), -540, -600, -700, -1000]:
+            c0, c1 = math.ldexp(0.8, k), math.ldexp(0.6, k)
+            code, out, err = run_cli(capsys, "improve", f"--c0={c0!r}", f"--c1={c1!r}")
+            assert (code, err, out.split("\n", 1)[0]) == (0, "", line), k
+            got = json.loads(out.split("\n", 1)[1])
+            assert got.pop("state") == {"c0": float(f"{c0:.9g}"), "c1": float(f"{c1:.9g}"),
+                                        "normalization": float(f"{math.ldexp(default['state']['normalization'], k):.9g}")}, k
+            assert got == {key: v for key, v in default.items() if key != "state"}, k
+        assert run_cli(capsys, "improve", "--c0=1e-160", "--c1=1e-160") == run_cli(capsys, "improve", "--c0=1", "--c1=1")
+
     @pytest.mark.parametrize("option, value, a, b, exact", [
         ("--a", "1e-150", 1e-150, 1.9599999999999996e+148, -0.47999999999999976),
         ("--b", "1e150", 0.23999999999999988, 1e150, -0.23999999999999988),

@@ -150,6 +150,8 @@ REFUSALS = {
                                     "inequality 'mermin4' has no setting 'ZZZZ'"),
     "channel empty": (lambda: SingleQubitChannel(()), ValueError, "channel needs at least one Kraus operator"),
     "channel not 2x2": (lambda: SingleQubitChannel((np.eye(3),)), ValueError, "Kraus operators must be 2x2"),
+    "channel not finite": (lambda: SingleQubitChannel((np.array([[math.nan, 0], [0, 1]]),), "bad"), ValueError,
+                           "channel 'bad' contains NaN or Inf entries"),
 }
 
 
