@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, _PAULI, _freeze, _require_finite, _work, require_hermitian
+from .core import DensityMatrix, _PAULI, _freeze, _require_finite, _small_buffer, _work, require_hermitian
 from .tolerances import DEFAULT
 
 
@@ -86,21 +86,23 @@ def _bit_flip_all(m: np.ndarray, p) -> np.ndarray:
     rounds s*(s*v) + t*(t*XvX) with s = sqrt(1-p), t = sqrt(p), exactly as the
     Kraus path of ``apply_to_all`` does ((1-p)*v + p*XvX would not), into the ``stack`` work array."""
     d, shape, (out,), (flipped,) = m.shape[-1], m.shape, _work(m.size, stack=True), _work(m.size)
-    s, t = (np.reshape(np.sqrt(x), np.shape(x) + (1,) * 6) for x in (1.0 - np.asarray(p), p))
-    for q in range(d.bit_length() - 1):
-        split = (*shape[:-2], 2**q, 2, d >> (q + 1), 2**q, 2, d >> (q + 1))
-        v, m, f = m.reshape(split), out.reshape(split), flipped.reshape(split)
-        np.multiply(t, np.multiply(t, v[..., ::-1, :, :, ::-1, :], out=f), out=f)  # before m, which may be v
-        np.add(np.multiply(s, np.multiply(s, v, out=m), out=m), f, out=m)
+    s, t = (np.reshape(np.sqrt(x), np.shape(x) + (1,) * 6).astype(complex) for x in (1.0 - np.asarray(p), p))  # x + 0j
+    with _small_buffer():
+        for q in range(d.bit_length() - 1):
+            split = (*shape[:-2], 2**q, 2, d >> (q + 1), 2**q, 2, d >> (q + 1))
+            v, m, f = m.reshape(split), out.reshape(split), flipped.reshape(split)
+            np.multiply(t, np.multiply(t, v[..., ::-1, :, :, ::-1, :], out=f), out=f)  # before m, which may be v
+            np.add(np.multiply(s, np.multiply(s, v, out=m), out=m), f, out=m)
     return out.reshape(shape)
 
 
 def _white_mix(m: np.ndarray, q) -> np.ndarray:
     """(1-q) m + q 1/d on a (..., d, d) stack, q broadcast over the leading axes, into the ``stack`` work array."""
-    d, q = m.shape[-1], np.reshape(q, np.shape(q) + (1, 1))
+    d, q = m.shape[-1], np.reshape(q, np.shape(q) + (1, 1)).astype(complex)  # q + 0j: no ufunc needs to cast
     shape = np.broadcast(q, m).shape
     out, mixed = (_work(math.prod(shape), stack=stack)[0].reshape(shape) for stack in (True, False))
-    return np.add(np.multiply(1.0 - q, m, out=out), np.multiply(q, np.eye(d, dtype=complex) / d, out=mixed), out=out)
+    with _small_buffer():
+        return np.add(np.multiply(1.0 - q, m, out=out), np.multiply(q, np.eye(d, dtype=complex) / d, out=mixed), out=out)
 
 
 # noise family -> (its strength in range errors, its (G, d, d) stack map, the strength range of the default

@@ -36,6 +36,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 _WORK = threading.local()
+_BUFSIZE = 128  # elements: numpy's default of 8192 is 128 KB per complex operand, allocated and copied through per call
 
 
 def _work(*sizes: int, stack: bool = False) -> list[np.ndarray]:
@@ -49,6 +50,16 @@ def _work(*sizes: int, stack: bool = False) -> list[np.ndarray]:
         work = page[-page.ctypes.data % 4096:][:16 * starts[-1]].view(complex)
         setattr(_WORK, key, work)
     return [work[a:a + size] for a, size in zip(starts, sizes)]
+
+
+@contextlib.contextmanager
+def _small_buffer():
+    """A ``_BUFSIZE``-element ufunc buffer for loops over broadcast operands; elementwise ufuncs only, no reductions."""
+    old = np.setbufsize(_BUFSIZE)  # per thread since numpy 2.0; numpy 1.x's errstate would not restore it
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:

@@ -21,6 +21,7 @@ from .core import (
     SingleQubitObservable,
     _freeze,
     _matrix,
+    _small_buffer,
     _work,
     expectation,
     ghz_state,
@@ -385,13 +386,14 @@ def _probability_rows(rho, plan) -> np.ndarray:
     r = m.reshape(-1, d * d).T  # (d*d, G), a view: the first level copies from rho itself
     sizes, layout = _level_shapes(tuple(len(level[0]) for level in levels), d, r.shape[1])
     moved, taken, prod, total = _work(*sizes)
-    for (parents, t00, t01, t10, t11), (split, (a, a_shape), (b, b_shape), (c, shape)) in zip(levels, layout):
-        v = moved[:a].reshape(a_shape)
-        np.copyto(v, r.reshape(split).transpose(2, 4, 0, 1, 3, 5, 6))
-        v = np.take(v, parents, axis=2, out=taken[:b].reshape(b_shape), mode="clip")
-        r, tmp = np.multiply(t00, v[0, 0, :, None], out=total[:c].reshape(shape)), prod[:c].reshape(shape)
-        for t, vij in ((t01, v[0, 1]), (t10, v[1, 0]), (t11, v[1, 1])):
-            r += np.multiply(t, vij[:, None], out=tmp)
+    with _small_buffer():
+        for (parents, t00, t01, t10, t11), (split, (a, a_shape), (b, b_shape), (c, shape)) in zip(levels, layout):
+            v = moved[:a].reshape(a_shape)
+            np.copyto(v, r.reshape(split).transpose(2, 4, 0, 1, 3, 5, 6))
+            v = np.take(v, parents, axis=2, out=taken[:b].reshape(b_shape), mode="clip")
+            r, tmp = np.multiply(t00, v[0, 0, :, None], out=total[:c].reshape(shape)), prod[:c].reshape(shape)
+            for t, vij in ((t01, v[0, 1]), (t10, v[1, 0]), (t11, v[1, 1])):
+                r += np.multiply(t, vij[:, None], out=tmp)
     p = r.real.reshape(-1, r.shape[-1]).T.take(index, axis=1).reshape(*lead, *index.shape)
     lowest = float(p.min())
     if lowest < -DEFAULT.prob_floor:

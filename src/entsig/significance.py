@@ -347,7 +347,7 @@ def variance_model_significance(state, test, copies: float | None = None) -> Sig
     ``test`` is a Witness (V = -<W>) or a BellInequality (V = <B> - C_lhv).
     By default E is the single-copy standard deviation, taken as 0.0 when at
     most ``zero_error`` times max(1, max|T|), the round-off of an exact
-    eigenstate; pass ``copies`` to scale it by 1/sqrt(copies).
+    eigenstate; pass a positive, finite ``copies`` to scale it by 1/sqrt(copies).
     """
     if isinstance(test, Witness):
         op, v_sign, offset, name = test.matrix, -1.0, 0.0, test.name
@@ -359,8 +359,8 @@ def variance_model_significance(state, test, copies: float | None = None) -> Sig
     e = math.sqrt(variance(state, op))
     e = e if e > DEFAULT.zero_error * max(1.0, float(np.max(np.abs(op)))) else 0.0
     if copies is not None:
-        if copies <= 0:
-            raise ValueError("copies must be positive")
+        if not 0 < copies < math.inf:  # NaN gives E = nan, inf E = 0
+            raise ValueError("copies must be positive" if copies <= 0 else f"copies must be positive and finite, got {copies!r}")
         e /= math.sqrt(copies)
     s, degenerate = _significance_of(v, e)
     return SignificanceReport(v, e, float(s), bool(degenerate), (), {"error_model": "variance", "test": name})
@@ -416,8 +416,8 @@ class SweepTable:
         return np.column_stack([col for _, col in self._columns()]).tolist()
 
     def to_csv_text(self) -> str:
-        lines = [",".join(self.header())] + [",".join(f"{x:.9g}" for x in row) for row in self.rows()]
-        return "\n".join(lines) + "\n"
+        row = ",".join(["%.9g"] * len(header := self.header()))  # f"{x:.9g}" per value, formatted in one step
+        return "\n".join([",".join(header)] + [row % tuple(x) for x in self.rows()]) + "\n"
 
     def to_json_dict(self) -> dict:
         header = self.header()

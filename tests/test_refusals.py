@@ -137,6 +137,10 @@ REFUSALS = {
                                    ValueError, "copies must be positive"),
     "variance model copies negative": (lambda: variance_model_significance(ghz_state(4), mermin(4), copies=-1.0),
                                        ValueError, "copies must be positive"),
+    "variance model copies nan": (lambda: variance_model_significance(ghz_state(4), mermin(4), copies=math.nan),
+                                  ValueError, "copies must be positive and finite, got nan"),
+    "variance model copies inf": (lambda: variance_model_significance(ghz_state(4), mermin(4), copies=math.inf),
+                                  ValueError, "copies must be positive and finite, got inf"),
     "sweep no inequalities": (lambda: _sweep([]), ValueError, "need at least one inequality"),
     "sweep mixed qubit counts": (lambda: _sweep([mermin(4), ardehali(6)]), ValueError,
                                  "all inequalities must share the qubit count"),

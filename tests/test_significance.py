@@ -512,6 +512,38 @@ class TestVarianceModel:
         many = variance_model_significance(mixed, witness4, copies=100)
         assert many.error == pytest.approx(single.error / 10, abs=1e-12)
 
+    def test_copies_must_be_finite(self, rho_ghz4, mermin4):
+        # NaN copies gave E = S = nan, and inf copies E = 0 and S = inf for a state that is no eigenstate
+        rho = apply_noise(rho_ghz4, "white", 0.3)
+        finite = variance_model_significance(rho, mermin4, copies=1e6)
+        assert 0.0 < finite.error and math.isfinite(finite.significance)
+        for copies in (math.nan, math.inf, np.float64(math.inf)):
+            with pytest.raises(ValueError, match=re.escape(f"copies must be positive and finite, got {copies!r}")):
+                variance_model_significance(rho, mermin4, copies=copies)
+        with pytest.raises(ValueError, match=r"^copies must be positive$"):
+            variance_model_significance(rho, mermin4, copies=-math.inf)
+
+
+def _csv_row_per_value(row) -> str:
+    """The per-value spelling of a CSV row that ``SweepTable.to_csv_text`` formats in one step."""
+    return ",".join(f"{x:.9g}" for x in row)
+
+
+class TestCsvText:
+    EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, np.finfo(float).max, -np.finfo(float).max,
+             np.finfo(float).tiny, 1e-320, 1e300, 0.5, 1.0, 123456789.5, 9.99999999949e-5]
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1, max_size=12))
+    @example(EDGES)
+    def test_row_spellings_agree(self, row):
+        assert ",".join(["%.9g"] * len(row)) % tuple(row) == _csv_row_per_value(row)
+
+    def test_row_spellings_agree_across_magnitudes(self):
+        rng = np.random.default_rng(20261020)
+        values = rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(-320, 300, 20_000)
+        rows = np.concatenate([values, self.EDGES * 3]).reshape(-1, 8).tolist()
+        assert [",".join(["%.9g"] * 8) % tuple(row) for row in rows] == [_csv_row_per_value(row) for row in rows]
+
 
 class TestSweep:
     def test_bitflip_four_qubit_pattern(self, mermin4, ardehali4):

@@ -1,10 +1,11 @@
-"""The probability kernel's and noise maps' per-thread work arrays.
+"""The probability kernel's and noise maps' per-thread work arrays and ufunc buffer scope.
 
 ``core._work`` hands out views of two arrays per thread, the noise maps' output
 stack and the temporaries, grown to the largest request and then reused.  The
 ``empty`` fixture drops the calling thread's arrays before each test, so each
-test also takes the first-allocation path.  To check that path in a fresh
-interpreter as well, run this file alone:
+test also takes the first-allocation path.  ``core._small_buffer`` runs their
+elementwise loops under a small ufunc buffer and gives the caller's back.  To
+check the first-call paths in a fresh interpreter as well, run this file alone:
 
     PYTHONPATH=src python -m pytest -q tests/test_workspace.py
 """
@@ -13,6 +14,7 @@ import itertools
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -162,3 +164,91 @@ def test_each_thread_has_its_own_arrays(empty):
     thread.start()
     thread.join(timeout=60)
     assert theirs and theirs[0] != mine
+
+
+@pytest.fixture
+def bufsize():
+    """``np.setbufsize`` for the test; the size it found is restored afterwards."""
+    old = np.getbufsize()
+    yield np.setbufsize
+    np.setbufsize(old)
+
+
+@pytest.mark.parametrize("family", ["bitflip", "white"])
+def test_warm_noise_maps_allocate_no_ufunc_buffer(empty, family):
+    # 64 4-qubit states: 260 KB (bit-flip) and 262 KB (white) of 128 KB ufunc buffers under numpy's default size
+    ghz4, ps = DensityMatrix.from_pure(ghz_state(4)).matrix, np.linspace(0.0, 0.5, 64).tolist()
+    assert _peak(lambda: _noisy_stack(ghz4, family, ps)) <= 16 * 1024
+
+
+@pytest.mark.parametrize("size", [16, 8192, 2**20])
+def test_scope_restores_the_callers_buffer(bufsize, size):
+    bufsize(size)
+    with core._small_buffer():
+        assert np.getbufsize() == core._BUFSIZE
+    assert np.getbufsize() == size
+    with pytest.raises(ZeroDivisionError), core._small_buffer():
+        1 / 0
+    assert np.getbufsize() == size
+
+
+def _check_calls_keep_buffer(calls, size):
+    """Every call, a refusal after the kernel's scope and an overflow inside it leave ``size`` in place."""
+    for name, call in calls.items():
+        call()
+        assert np.getbufsize() == size, name
+    with pytest.raises(ValueError, match="negative outcome probability"):
+        _probability_rows(3 * np.diag([1.0] + [0.0] * 15) - 2 * DensityMatrix.from_pure(ghz_state(4)).matrix, _pair_plan(4))
+    assert np.getbufsize() == size
+    with warnings.catch_warnings(), pytest.raises(RuntimeWarning, match="overflow"):
+        warnings.simplefilter("error")  # raised inside the scope; np.errstate would restore the size itself on exit
+        _probability_rows(np.full((16, 16), np.finfo(float).max / 2, dtype=complex), _pair_plan(4))  # products overflow
+    assert np.getbufsize() == size
+
+
+@pytest.mark.parametrize("size", [16, 8192, 2**20])
+def test_calls_leave_the_callers_buffer(empty, rng, bufsize, size):
+    calls = _calls(rng)
+    bufsize(size)
+    _check_calls_keep_buffer(calls, size)
+
+
+def test_scope_is_per_thread(empty, rng, bufsize):
+    calls = _calls(rng)
+    bufsize(2**20)
+    inside, release, seen, errors = threading.Event(), threading.Event(), [], []
+
+    def worker():
+        try:
+            own = np.getbufsize()
+            with core._small_buffer():
+                seen.append(np.getbufsize())
+                inside.set()
+                release.wait(60)
+            seen.append(np.getbufsize() == own)
+            _check_calls_keep_buffer(calls, own)
+        except BaseException as e:  # reported by the main thread
+            errors.append(e)
+            inside.set()
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    try:
+        assert inside.wait(60)
+        assert np.getbufsize() == 2**20  # the worker's scope does not reach this thread
+        calls["kernel4x64"]()
+        assert np.getbufsize() == 2**20
+    finally:
+        release.set()
+        thread.join(timeout=120)
+    assert not thread.is_alive() and not errors, errors
+    assert seen == [core._BUFSIZE, True]
+    assert np.getbufsize() == 2**20
+
+
+@pytest.mark.parametrize("size", [16, 2**20])
+def test_bits_do_not_depend_on_the_callers_buffer(empty, rng, bufsize, size):
+    calls = _calls(rng)
+    expected = {name: np.array(call()).tobytes() for name, call in calls.items()}
+    bufsize(size)
+    assert {name: np.array(call()).tobytes() for name, call in calls.items()} == expected
