@@ -68,9 +68,10 @@ def _require_finite(a: np.ndarray, what: str) -> None:
 
 
 def require_hermitian(m: np.ndarray, tol: float, what: str = "matrix") -> None:
-    """Reject ``m``, or the first member of a stack, unless it is Hermitian to ``tol``."""
+    """Reject ``m``, or the first member of a stack, unless it is Hermitian to ``tol``; its temporaries are ``_work`` views."""
     _require_finite(m, what)  # a NaN defect would pass "defect > tol"
-    defect = np.abs(m - np.swapaxes(m.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
+    diff, mag = (np.ndarray(m.shape, t, w) for w, t in zip(_work(m.size, m.size), (complex, float)))
+    defect = np.abs(np.subtract(m, np.conjugate(np.swapaxes(m, -1, -2), out=diff), out=diff), out=mag).max(axis=(-2, -1), initial=0.0)
     if (bad := np.flatnonzero(defect > tol)).size:
         raise ValueError(f"{what} is not Hermitian (defect {defect.flat[bad[0]]:.3e} > {tol:.1e})")
 
@@ -205,8 +206,8 @@ def _validate_stack(m: np.ndarray) -> None:
     tr = np.trace(m, axis1=-2, axis2=-1).real
     if (bad := np.flatnonzero(np.abs(tr - 1.0) > DEFAULT.trace_one)).size:
         raise ValueError(f"density matrix trace is {float(tr[bad[0]])!r}, expected 1")
-    with contextlib.suppress(np.linalg.LinAlgError):
-        np.linalg.cholesky(m + 0.5 * DEFAULT.psd_clamp * np.eye(m.shape[-1]))
+    with contextlib.suppress(np.linalg.LinAlgError):  # the factor stays fresh: numpy's cholesky takes no out=
+        np.linalg.cholesky(np.add(m, 0.5 * DEFAULT.psd_clamp * np.eye(m.shape[-1], dtype=complex), out=_work(m.size)[0].reshape(m.shape)))
         return
     lo = np.linalg.eigvalsh(m)[:, 0]
     if (bad := np.flatnonzero(lo < -DEFAULT.psd)).size:
@@ -274,16 +275,20 @@ def variance(state, obs) -> float:
     return max(var, 0.0)
 
 
+def _fidelities(m: np.ndarray, psi: PureState) -> np.ndarray:
+    """<psi| m_g |psi> of a (G, d, d) stack by one stacked product and a ``vdot`` per row, clamped into [0, 1] as
+    ``min(max(f, 0.0), 1.0)`` is (-0.0, NaN kept); more than ``imag_discard`` outside it is an error."""
+    f = np.array([np.vdot(psi.amplitudes, row) for row in m @ psi.amplitudes]).real
+    if (bad := np.flatnonzero((f < -DEFAULT.imag_discard) | (f > 1.0 + DEFAULT.imag_discard))).size:
+        raise ValueError(f"fidelity {float(f[bad[0]])!r} outside [0, 1]")
+    return np.where(f < 0.0, 0.0, np.where(f > 1.0, 1.0, f))
+
+
 def fidelity_with_pure(rho, psi: PureState) -> float:
-    """<psi| rho |psi>, clamped into [0, 1]; more than ``imag_discard`` outside it is an error."""
-    m = _matrix(rho)
-    if m.shape[0] != psi.dim:
+    """<psi| rho |psi> of one (d, d) state, clamped into [0, 1] (see ``_fidelities``)."""
+    if (m := _matrix(rho)).shape != (psi.dim, psi.dim):
         raise ValueError("state and reference dimensions differ")
-    val = complex(np.vdot(psi.amplitudes, m @ psi.amplitudes))
-    f = val.real
-    if f < -DEFAULT.imag_discard or f > 1.0 + DEFAULT.imag_discard:
-        raise ValueError(f"fidelity {f!r} outside [0, 1]")
-    return min(max(f, 0.0), 1.0)
+    return float(_fidelities(m[None], psi)[0])
 
 
 def hermitian_eig(m: np.ndarray):

@@ -454,7 +454,7 @@ def _settle_zeros(m, p, settings) -> None:
         return
     g, s, o = np.nonzero(near)
     m = m.reshape(-1, d, d)
-    for k in np.unique(s):  # one basis at a time, for every state that needs it
+    for k in np.unique(s):  # one basis at a time, for every state that needs it; a first .basis overwrites parts (_work)
         u, g_k, o_k = settings[k].basis, g[s == k], o[s == k]
         states, outs = np.unique(g_k), np.unique(o_k)
         i, j = np.nonzero(np.any(m[states] != 0.0, axis=0))  # the entries nonzero in any of them, row by row

@@ -22,7 +22,7 @@ from functools import cache
 import numpy as np
 
 from .channels import _NOISE, DEFAULT_SPAN, NOISE_FAMILIES, _noisy_stack
-from .core import DensityMatrix, PureState, _validate_stack, expectation, fidelity_with_pure, ghz_state, variance
+from .core import DensityMatrix, PureState, _fidelities, _small_buffer, _validate_stack, _work, expectation, fidelity_with_pure, ghz_state, variance
 from .inequalities import BellInequality, Witness, _contraction_plan, _gamma, _probability_rows, ardehali, mermin
 from .tolerances import DEFAULT
 
@@ -240,10 +240,10 @@ def sample_counts(rho, ineq: BellInequality, budget: ShotBudget, seed) -> CountT
     return CountTable(ineq.name, {s.label: row for s, row in zip(ineq.settings, counts)}, mode="sampled")
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Last-axis dot products, broadcast, each rounded exactly as ``a[s] @ b[s]``
-    for C-contiguous inputs (matmul picks its summation by memory layout)."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+def _row_dot(a: np.ndarray, b: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """Last-axis dot products, broadcast, each rounded exactly as ``a[s] @ b[s]`` for
+    C-contiguous inputs (matmul picks its summation by memory layout), divided by ``by``."""
+    return np.divide(dots := (a[..., None, :] @ b[..., :, None])[..., 0, 0], by, out=dots)
 
 
 def setting_estimates(counts, coeffs, labels=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -261,7 +261,9 @@ def setting_estimates(counts, coeffs, labels=None) -> tuple[np.ndarray, np.ndarr
     lam = np.ascontiguousarray(coeffs, dtype=float)
     if lam.ndim != 2 or n.shape[-2:] != lam.shape:
         raise ValueError("counts and coefficients must have matching shape")
-    if np.any(n < 0):
+    shapes, types = (n.shape, n.shape, n.shape[:-1], n.shape[:-1]), (bool, float, float, np.intp)  # _work views: no fresh pages per call
+    supported, table, row, at = (np.ndarray(s, t, w) for w, s, t in zip(_work(*map(math.prod, shapes)), shapes, types))
+    if np.less(n, 0.0, out=supported).any():
         raise ValueError("negative counts")
     n_tot = n.sum(axis=-1)
     if np.any(n_tot <= 0):
@@ -269,15 +271,22 @@ def setting_estimates(counts, coeffs, labels=None) -> tuple[np.ndarray, np.ndarr
     for x in (float(n_tot.min()), float(n_tot.max())):  # Python floats: no warning on overflow or underflow
         if not np.finfo(float).tiny <= x * x < math.inf:  # False for NaN too
             raise ValueError(f"setting total {x!r} has no finite positive normal square")
-    supported = n > 0
-    hit, lam_t = np.ascontiguousarray(np.moveaxis(supported, -1, 0)), np.expand_dims(lam.T, tuple(range(1, n.ndim - 1)))
-    spread = np.where(hit, lam_t, -np.inf).max(axis=0) - np.where(hit, lam_t, np.inf).min(axis=0)  # exact: outcome-first is fastest
-    flat = spread <= DEFAULT.coeff_spread
+    hit, lam_t = np.moveaxis(np.greater(n, 0.0, out=supported), -1, 0), np.expand_dims(lam.T, tuple(range(1, n.ndim - 1)))
+
+    def extreme(fill, reduce, out=None):  # of each row's supported coefficients: exact, and fastest outcome-first
+        np.copyto(masked := table.reshape(hit.shape), fill)
+        np.copyto(masked, lam_t, where=hit)
+        return reduce(masked, axis=0, out=out)
+
+    flat = np.subtract(extreme(-np.inf, np.max, row), extreme(np.inf, np.min), out=row) <= DEFAULT.coeff_spread
     with np.errstate(over="ignore", invalid="ignore"):  # huge coefficients: refused below
-        mean = _row_dot(lam, n) / n_tot
-        err_sq = _row_dot((lam - mean[..., None]) ** 2, n) / (n_tot * n_tot)
-    first = lam[np.arange(len(lam)), supported.argmax(axis=-1)]
-    mean, err = np.where(flat, first, mean), np.where(flat, 0.0, np.sqrt(err_sq))
+        mean = _row_dot(lam, n, n_tot)
+        with _small_buffer():  # loops over broadcast operands; at: the flat index of each row's first supported outcome
+            sq = np.subtract(lam, mean[..., None], out=table)
+            np.add(supported.argmax(axis=-1, out=at), np.arange(0, lam.size, lam.shape[1]), out=at)
+        err = _row_dot(np.multiply(sq, sq, out=sq), n, np.multiply(n_tot, n_tot, out=row))  # sq: the bits of (lam - mean) ** 2
+    np.copyto(np.sqrt(err, out=err), 0.0, where=flat)
+    np.copyto(mean, np.take(lam, at, out=row, mode="clip"), where=flat)
     if (bad := np.flatnonzero(~(np.isfinite(mean) & np.isfinite(err)))).size:
         i, s = bad[0], bad[0] % len(lam)
         name = repr(labels[s]) if labels else f"row {s}"
@@ -483,7 +492,7 @@ def significance_sweep(
     if len({q.tag for q in ineqs}) != len(ineqs):  # the table keys its values by tag
         raise ValueError("inequality tags must be distinct within one sweep")
     step, reference = max(1, _SWEEP_ENTRIES // 4 ** ineqs[0].n_qubits), ghz_state(ineqs[0].n_qubits)
-    chunks = [([fidelity_with_pure(m, reference) for m in noisy], table(probs))
+    chunks = [(_fidelities(noisy, reference), table(probs))
               for noisy, probs in (rows(grid[i:i + step].tolist()) for i in range(0, grid.size, step))]
     fid, values = (np.concatenate(x, axis=-1) for x in zip(*chunks))
     return SweepTable(

@@ -311,6 +311,13 @@ class TestFidelity:
         with pytest.raises(ValueError):
             fidelity_with_pure(DensityMatrix.maximally_mixed(3), ghz4)
 
+    @pytest.mark.parametrize("shape", [(16, 4), (16, 16, 16), (16, 16, 1), (16,), (4, 4)])
+    def test_anything_but_one_matrix_of_the_reference_dimension_is_refused(self, ghz4, shape):
+        # the first axis alone used to be checked: the others raised numpy's matmul or vdot message
+        with pytest.raises(ValueError) as info:
+            fidelity_with_pure(np.full(shape, 1 / 16, dtype=complex), ghz4)
+        assert info.value.args == ("state and reference dimensions differ",)
+
 
 class TestHermitianEig:
     def test_diagonal(self):

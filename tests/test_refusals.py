@@ -93,6 +93,8 @@ REFUSALS = {
     "fidelity above one": (lambda: fidelity_with_pure(NOT_PSD, ZERO), ValueError, "fidelity 2.0 outside [0, 1]"),
     "fidelity below zero": (lambda: fidelity_with_pure(NOT_PSD[::-1, ::-1], ZERO), ValueError,
                             "fidelity -1.0 outside [0, 1]"),
+    "fidelity stack": (lambda: fidelity_with_pure(np.array([NOT_PSD, NOT_PSD]), ZERO), ValueError,
+                       "state and reference dimensions differ"),
     "hermitian_eig not square": (lambda: hermitian_eig(np.ones((2, 3))), ValueError,
                                  "hermitian_eig expects a square matrix"),
     "setting empty": (lambda: MeasurementSetting(()), ValueError, "setting needs at least one observable"),

@@ -684,6 +684,50 @@ class TestSweep:
             run((ardehali4, big))
 
 
+def _fidelity_state(kind, n):
+    """An initial state for the fidelity column: GHZ_n (None), the ansatz, a random density matrix, GHZ_n with a
+    minus sign, orthogonal to GHZ_n, or a state whose overlap with GHZ_n is one ulp, whose fidelity at p = 0 comes
+    out as -1.96e-17: its fidelities are exact zeros, or round-off below zero that the clamp sets to 0.0."""
+    if kind in ("ghz", "ansatz", "random"):
+        return {"ghz": None, "ansatz": experimental_ansatz(AnsatzParams()), "random": random_density(np.random.default_rng(n), n)}[kind]
+    amp = np.zeros(2**n, dtype=complex)
+    if kind == "minus":
+        amp[0], amp[-1] = 1 / math.sqrt(2), -1 / math.sqrt(2)
+    else:
+        a, b = 0.301, 0.301 + math.ulp(0.301)
+        amp[0], amp[-1], amp[1] = a, -b, math.sqrt(1 - a * a - b * b)
+    return PureState(n, amp)
+
+
+class TestFidelityColumn:
+    # one stacked product per chunk: matmul calls the gemv of one state's product on each member, so
+    # the column has the bits of a fidelity_with_pure call per point and of the scalar formula it replaced
+    @pytest.mark.parametrize("noise, grid", [("bitflip", [*np.linspace(0.0, 0.5, 9), 1.0]), ("white", np.linspace(0.0, 1.0, 9))])
+    @pytest.mark.parametrize("n, kind", [(n, kind) for n in range(2, 7) for kind in ("ghz", "random", "minus", "below")]
+                             + [(4, "ansatz")])
+    def test_matches_per_point_fidelities_bitwise(self, n, kind, noise, grid):
+        z = standard_observable("Z")
+        zs = generic_inequality([ProductObservable(1.0, (z,) * n)], [MeasurementSetting((z,) * n)], [0], 0.5)
+        state, reference = _fidelity_state(kind, n), ghz_state(n)
+        table = significance_sweep([zs], noise, grid, initial_state=state)
+        state0 = DensityMatrix.from_pure(reference) if state is None else state
+        state0 = DensityMatrix.from_pure(state0) if isinstance(state0, PureState) else state0
+        raw = []
+        for i, p in enumerate(grid):
+            m = apply_noise(state0, noise, float(p)).matrix
+            raw.append(complex(np.vdot(reference.amplitudes, m @ reference.amplitudes)).real)
+            assert bits(table.fidelity[i]) == bits(fidelity_with_pure(m, reference)) == bits(min(max(raw[-1], 0.0), 1.0)), p
+        if kind == "minus" and noise == "bitflip":
+            assert bits(table.fidelity) == bits(np.zeros(len(grid)))
+        if kind == "below":  # clamped to +0.0
+            assert raw[0] < 0.0 and bits(table.fidelity[0]) == bits(0.0)
+
+    def test_clamp_keeps_nan_as_the_scalar_formula_does(self):
+        # a NaN fidelity is inside no range and outside no range: min(max(nan, 0.0), 1.0) is nan
+        nan = np.full((2, 2), np.nan, dtype=complex)
+        assert math.isnan(fidelity_with_pure(nan, PureState(1, [1.0, 0.0])))
+
+
 class TestCrossing:
     def test_bitflip_four_qubits(self):
         res = crossing_point("bitflip", 4)

@@ -1,4 +1,5 @@
-"""The probability kernel's and noise maps' per-thread work arrays and ufunc buffer scope.
+"""The per-thread work arrays and ufunc buffer scope of the probability kernel, the
+noise maps, stack validation and the per-setting estimates.
 
 ``core._work`` hands out views of two arrays per thread, the noise maps' output
 stack and the temporaries, grown to the largest request and then reused.  The
@@ -19,10 +20,10 @@ import warnings
 import numpy as np
 import pytest
 
-from entsig import DensityMatrix, ardehali, ghz_state, mermin, significance_sweep, white_noise
+from entsig import DensityMatrix, ShotBudget, ardehali, ghz_state, mermin, significance_sweep, white_noise
 from entsig import core
 from entsig.inequalities import MeasurementSetting, _contraction_plan, _probability_rows, standard_observable
-from entsig.significance import _noisy_stack
+from entsig.significance import _noisy_stack, setting_estimates
 from conftest import random_density
 
 GRID = [0.0, 0.043, 0.15, 1 / 3, 0.5, 0.7, 0.99, 1.0, *np.linspace(0.0, 1.0, 13)]
@@ -44,14 +45,36 @@ def _plan5():
     return _contraction_plan([MeasurementSetting(tuple(map(standard_observable, label))) for label in labels])
 
 
+def _stack4():
+    """The bit-flip stack of 64 4-qubit GHZ states that a default sweep chunk validates."""
+    ghz4 = DensityMatrix.from_pure(ghz_state(4)).matrix
+    return np.array(_noisy_stack(ghz4, "bitflip", np.linspace(0.0, 0.5, 64).tolist()))
+
+
+def _chunk_counts(stack):
+    """The predicted counts of Mermin's and Ardehali's 24 settings that a sweep chunk estimates, and their coefficients."""
+    ineqs = mermin(4), ardehali(4)
+    copies = np.array([[c] for q in ineqs for c in ShotBudget.equal_split(8000.0, q).allocation.values()])
+    return copies * _probability_rows(stack, _pair_plan(4)), np.concatenate([q.outcome_coeffs for q in ineqs])
+
+
+def _clamped(stack):
+    """A copy of ``stack`` validated in place: its GHZ member 0 has an eigenvalue of -1e-12, which the PSD clamp projects away."""
+    out = stack.copy()
+    out[0] = out[0] * (1 + 1e-12) - 1e-12 * np.diag(np.eye(16)[5]).astype(complex)
+    core._validate_stack(out)
+    return out
+
+
 def _calls(rng):
     """Each call of a workload that reuses the arrays, by name: kernels of 64 4-qubit states,
-    of one 6-qubit state and of 7 5-qubit states, and bit-flip and white stacks."""
-    ghz4, rho5, rho6 = (DensityMatrix.from_pure(ghz_state(4)).matrix, random_density(rng, 5).matrix,
-                        random_density(rng, 6).matrix)
-    stack4 = np.array(_noisy_stack(ghz4, "bitflip", np.linspace(0.0, 0.5, 64).tolist()))
+    of one 6-qubit state and of 7 5-qubit states, bit-flip and white stacks, the validation
+    of 64 4-qubit states, one of them clamped, and the estimates of a sweep chunk."""
+    rho5, rho6 = random_density(rng, 5).matrix, random_density(rng, 6).matrix
+    stack4 = _stack4()
     stack5 = np.array(_noisy_stack(rho5, "bitflip", [0.0, 0.01, 0.1, 0.3, 0.5, 0.9, 1.0]))
     plan4, plan5, plan6 = _pair_plan(4), _plan5(), _pair_plan(6)
+    counts, coeffs = _chunk_counts(stack4)
     return {
         "kernel4x64": lambda: _probability_rows(stack4, plan4),
         "kernel6x1": lambda: _probability_rows(rho6, plan6),
@@ -59,6 +82,8 @@ def _calls(rng):
         "bitflip5": lambda: _noisy_stack(rho5, "bitflip", GRID),
         "white6": lambda: _noisy_stack(rho6, "white", GRID),
         "bitflip6x1": lambda: _noisy_stack(rho6, "bitflip", [0.2]),
+        "validate4x64": lambda: _clamped(stack4),
+        "estimates4x64": lambda: np.array(setting_estimates(counts, coeffs)),
     }
 
 
@@ -136,14 +161,46 @@ def _peak(call) -> int:
 
 def test_warm_calls_allocate_little(empty, rng):
     calls = _calls(rng)
-    ufunc_buffer = np.getbufsize() * 16  # numpy's iterator buffer for one complex operand of a broadcasting ufunc
     # the kernel: its fresh (64, 24, 16) rows and the contiguous copy of the real parts that np.take
     # reads them from (2178 KB before the work arrays)
     rows = calls["kernel4x64"]()
     assert _peak(calls["kernel4x64"]) <= 2 * rows.nbytes + 32 * 1024
-    # the bit-flip map of 64 4-qubit states: two buffers (1156 KB before the work arrays)
+    # the bit-flip map of 64 4-qubit states: nothing large (1156 KB before the work arrays, then
+    # two 128 KB ufunc buffers until its loops ran under a small one)
     ghz4, ps = DensityMatrix.from_pure(ghz_state(4)).matrix, np.linspace(0.0, 0.5, 64).tolist()
-    assert _peak(lambda: _noisy_stack(ghz4, "bitflip", ps)) <= 2 * ufunc_buffer + 16 * 1024
+    assert _peak(lambda: _noisy_stack(ghz4, "bitflip", ps)) <= 16 * 1024
+
+
+def test_warm_validation_allocates_only_its_cholesky_factor(empty):
+    # 657 KB before the work arrays: the isfinite mask, the conjugate transpose, the difference,
+    # its magnitudes and the Cholesky input; numpy's cholesky takes no out=
+    stack = _stack4()
+    assert _peak(lambda: core._validate_stack(stack)) <= stack.nbytes + 16 * 1024  # the factor has the stack's shape
+
+
+def test_warm_estimates_allocate_only_their_outputs(empty):
+    # 482 KB before the work arrays: the support masks, the masked coefficient tables, the squared
+    # deviations and their (64, 24) intermediates
+    counts, coeffs = _chunk_counts(_stack4())
+    outputs = setting_estimates(counts, coeffs)
+    assert _peak(lambda: setting_estimates(counts, coeffs)) <= sum(x.nbytes for x in outputs) + 16 * 1024
+    assert not any(np.shares_memory(x, work) for x in outputs for work in vars(core._WORK).values())
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.eye(16, dtype=complex) / 16 + 0.1 * np.eye(16, k=1), "density matrix is not Hermitian (defect 1.000e-01 > 1.0e-12)"),
+    (np.eye(16, dtype=complex) / 8, "density matrix trace is 2.0, expected 1"),
+    (np.diag([1.2, -0.2] + [0.0] * 14).astype(complex), "density matrix has negative eigenvalue -2.000e-01"),
+], ids=["hermitian", "trace", "negative"])
+def test_validation_refusals_keep_their_text_when_warm(empty, rng, bad, message):
+    calls = _calls(rng)
+    stack = _stack4()
+    for name in ("validate4x64", "kernel6x1", "estimates4x64", "white6"):  # arrays grown and holding other data
+        calls[name]()
+    stack[40] = bad
+    with pytest.raises(ValueError) as info:
+        core._validate_stack(stack)
+    assert info.value.args == (message,)
 
 
 def test_views_are_disjoint_and_staggered(empty):
