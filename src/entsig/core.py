@@ -239,6 +239,8 @@ def _matrix(x) -> np.ndarray:
 def expectation(state, obs) -> float:
     """tr(rho O) for a Hermitian observable; tiny imaginary residue is dropped."""
     m = _matrix(obs)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"observable must be a square matrix, got shape {m.shape}")
     scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
     require_hermitian(m, DEFAULT.op_hermitian * scale, "observable")
     if isinstance(state, PureState):

@@ -22,7 +22,7 @@ from functools import cache
 import numpy as np
 
 from .channels import _NOISE, DEFAULT_SPAN, NOISE_FAMILIES, _noisy_stack
-from .core import DensityMatrix, PureState, _fidelities, _small_buffer, _validate_stack, _work, expectation, fidelity_with_pure, ghz_state, variance
+from .core import DensityMatrix, PureState, _fidelities, _small_buffer, _validate_stack, _work, expectation, ghz_state, variance
 from .inequalities import BellInequality, Witness, _contraction_plan, _gamma, _probability_rows, ardehali, mermin
 from .tolerances import DEFAULT
 
@@ -440,13 +440,12 @@ class SweepTable:
 
 
 def _sweep_evaluator(ineqs, noise: str, grid, initial_state, total_copies: float):
-    """Check the arguments a sweep and a crossing search share (tags may repeat) and build
-    what their chunks share: one plan, and the (S, 1) copies and (S, 2**n) coefficients
-    of all S settings with each inequality's offsets.  Returns the checked initial state
-    and ``(grid, rows, table)``: ``rows(ps)`` runs the noise strengths ``ps`` as one
-    validated (G, d, d) state stack and one kernel call, giving the stack and its (G, S,
-    2**n) probability rows; ``table(probs)`` runs one estimate pass, then one
-    ``_finite_combine`` per inequality, giving an (n_ineqs, 3, G) V, E, S table."""
+    """Check the arguments a sweep and a crossing search share (tags may repeat) and build what their chunks share:
+    one plan, and the (S, 1) copies and (S, 2**n) coefficients of all S settings with each inequality's offsets.
+    Returns the checked initial state and ``(grid, stack, rows, table)``: ``stack(ps)`` is the (G, d, d) stack of
+    the noise strengths ``ps``, validated only for a state without a certificate (README, "Crossing search", step
+    1); ``rows(ps)`` is that stack and its (G, S, 2**n) probability rows from one kernel call; ``table(probs)``
+    runs one estimate pass, then one ``_finite_combine`` per inequality, giving an (n_ineqs, 3, G) V, E, S table."""
     ineqs = list(ineqs)
     if not ineqs:
         raise ValueError("need at least one inequality")
@@ -459,22 +458,30 @@ def _sweep_evaluator(ineqs, noise: str, grid, initial_state, total_copies: float
     if np.any(~((grid >= 0) & (grid <= 1))):
         raise ValueError("noise grid values must lie in [0, 1]")
     state0 = _as_initial_state(initial_state, n)
+    m0, certified = state0.matrix, False
+    with contextlib.suppress(np.linalg.LinAlgError):  # no noisy stack of a certified state fails or moves in _validate_stack
+        np.linalg.cholesky(m0 + 0.25 * DEFAULT.psd_clamp * np.eye(len(m0)))
+        certified = np.array_equal(m0, m0.conj().T) and abs(np.trace(m0).real - 1.0) <= 0.5 * DEFAULT.trace_one
     plan = _contraction_plan([s for q in ineqs for s in q.settings])
     labels = [s.label for s in plan[2]]  # a refusal names the setting, as ``evaluate`` does
     copies = np.array([[c] for q in ineqs for c in ShotBudget.equal_split(total_copies, q).allocation.values()])
     coeffs = np.concatenate([q.outcome_coeffs for q in ineqs])
     offsets = np.cumsum([0] + [q.n_settings for q in ineqs])
 
+    def stack(ps):
+        noisy = _noisy_stack(m0, noise, ps)
+        if not certified:
+            _validate_stack(noisy)
+        return noisy
+
     def rows(ps):
-        noisy = _noisy_stack(state0.matrix, noise, ps)
-        _validate_stack(noisy)
-        return noisy, _probability_rows(noisy, plan)
+        return (noisy := stack(ps)), _probability_rows(noisy, plan)
 
     def table(probs):
         means, errors, _ = setting_estimates(copies * probs, coeffs, labels)
         return np.array([_finite_combine(means[:, a:b], errors[:, a:b], q)[:3] for q, a, b in zip(ineqs, offsets, offsets[1:])])
 
-    return state0, grid, rows, table
+    return state0, grid, stack, rows, table
 
 
 def significance_sweep(
@@ -488,7 +495,7 @@ def significance_sweep(
     grid, tracking the GHZ fidelity of the noisy state, one evaluator chunk of at
     most ``_SWEEP_ENTRIES`` state entries (one kernel call) at a time."""
     ineqs = list(ineqs)
-    _, grid, rows, table = _sweep_evaluator(ineqs, noise, grid, initial_state, total_copies)
+    _, grid, _, rows, table = _sweep_evaluator(ineqs, noise, grid, initial_state, total_copies)
     if len({q.tag for q in ineqs}) != len(ineqs):  # the table keys its values by tag
         raise ValueError("inequality tags must be distinct within one sweep")
     step, reference = max(1, _SWEEP_ENTRIES // 4 ** ineqs[0].n_qubits), ghz_state(ineqs[0].n_qubits)
@@ -538,12 +545,12 @@ def _moment_model(ps, nodes, moments, ineqs, copies, terms, eta):
 
 
 def _sign_source(ineqs, noise: str, span, coarse: int, initial_state, total_copies: float, step: int):
-    """A crossing search's one source of gaps S_first - S_second of ``ineqs``: the checked initial state, the
+    """A crossing search's one source of gaps S_first - S_second of ``ineqs``: the evaluator's ``stack``, the
     ``coarse``-point grid on ``span`` and ``readings(ps, batch)``, which yields each point of ``ps`` in order
     with its gap, the moment model's where one call certifies it, else read exactly with the next uncertified
     points, ``batch`` per estimate pass, a node taking its rows (README, "Crossing search", steps 1-4)."""
     (lo, hi), n, spread, copies, terms = span, ineqs[0].n_qubits, DEFAULT.coeff_spread, [], []
-    state0, grid, rows, table = _sweep_evaluator(ineqs, noise, np.linspace(lo, hi, coarse), initial_state, total_copies)
+    state0, grid, stack, rows, table = _sweep_evaluator(ineqs, noise, np.linspace(lo, hi, coarse), initial_state, total_copies)
     k, d, m0, coeffs = _NOISE[noise][3](n) + 1, 2**n, state0.matrix, np.concatenate([q.outcome_coeffs for q in ineqs])
     nodes = np.minimum(lo + (hi - lo) * (0.5 - 0.5 * np.cos(np.pi * np.arange(k) / (k - 1))), hi)
     node_rows = np.full((k, len(coeffs), d), np.nan)
@@ -577,7 +584,7 @@ def _sign_source(ineqs, noise: str, span, coarse: int, initial_state, total_copi
                     probs[new] = rows(ps[todo][new].tolist())[1]
                 gaps[todo], unsure[todo] = gap(table(probs)[:, 2]), False
             yield p, gaps[i]
-    return state0, grid, readings
+    return stack, grid, readings
 
 
 def crossing_point(
@@ -606,7 +613,7 @@ def crossing_point(
     if isinstance(coarse, (bool, np.bool_)) or not isinstance(coarse, (int, np.integer)) or coarse < 0:
         raise ValueError(f"coarse must be a non-negative integer, got {coarse!r}")
     step = max(1, _SCAN_ENTRIES // 4**n)
-    state0, grid, readings = _sign_source(ineqs, noise, span, coarse, initial_state, total_copies, step)
+    stack, grid, readings = _sign_source(ineqs, noise, span, coarse, initial_state, total_copies, step)
 
     def sign(g) -> int:
         return int(g > 0) - int(g < 0)
@@ -634,7 +641,7 @@ def crossing_point(
             if left != (mid <= r):
                 break
     p_star = 0.5 * (a + b)
-    return CrossingResult(p_star, fidelity_with_pure(apply_noise(state0, noise, p_star), ghz_state(n)), noise, n)
+    return CrossingResult(p_star, float(_fidelities(stack([p_star]), ghz_state(n))[0]), noise, n)
 
 
 @dataclass(frozen=True)

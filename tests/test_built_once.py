@@ -244,10 +244,11 @@ def test_ghz_initial_state_is_a_fresh_copy_of_one_build(caches, n):
     assert type(built.n_qubits) is np.int64 and built.matrix.tobytes() == expected.matrix.tobytes()
 
 
-@pytest.mark.parametrize("argv, cold, warm", [(["sweep", "--grid", "0:0.2:5"], 1, 0), (["crossing"], 2, 1),
+@pytest.mark.parametrize("argv, cold, warm", [(["sweep", "--grid", "0:0.2:5"], 1, 0), (["crossing"], 1, 0),
                                               (["sweep", "--qubits", "6", "--grid", "0:0.2:3"], 1, 0)])
 def test_cli_validates_the_ghz_state_once(caches, monkeypatch, capsys, argv, cold, warm):
-    # DensityMatrix validations, the crossing's state at p* included: the GHZ state only on the first call
+    # DensityMatrix validations: the GHZ state only on the first call; the crossing reads its fidelity at p*
+    # from a noisy stack of the certified GHZ state, which builds no DensityMatrix
     made, validate = [], core._validate_stack
     monkeypatch.setattr(core, "_validate_stack", lambda m: made.append(m.shape) or validate(m))
     counts = []

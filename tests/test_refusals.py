@@ -89,6 +89,10 @@ REFUSALS = {
                                      "state and observable dimensions differ"),
     "expectation imaginary residue": (lambda: expectation(np.array([[0.0, 1.0], [0.0, 0.0]]), pauli("Y")), ValueError,
                                       "expectation has imaginary residue 1.000e+00"),
+    "expectation observable not square": (lambda: expectation(ZERO, np.ones((2, 3))), ValueError,
+                                          "observable must be a square matrix, got shape (2, 3)"),
+    "variance observable not square": (lambda: variance(ZERO, np.ones((3, 2))), ValueError,
+                                       "observable must be a square matrix, got shape (3, 2)"),
     "variance not psd": (lambda: variance(NOT_PSD, Z), ValueError, "variance came out negative: -8.000e+00"),
     "fidelity above one": (lambda: fidelity_with_pure(NOT_PSD, ZERO), ValueError, "fidelity 2.0 outside [0, 1]"),
     "fidelity below zero": (lambda: fidelity_with_pure(NOT_PSD[::-1, ::-1], ZERO), ValueError,

@@ -48,7 +48,7 @@ from entsig.significance import (
     _POISSON_LAM_MAX, _SWEEP_ENTRIES, DEFAULT_SPAN, NOISE_FAMILIES, _combine, _monte_carlo_studies, setting_estimates,
 )
 from entsig.tolerances import DEFAULT
-from conftest import lab_noise_row, random_density
+from conftest import lab_noise_row, random_density, random_pure
 
 
 def scalar_estimate(counts, coeffs, coeff_spread=1e-12):
@@ -684,6 +684,12 @@ class TestSweep:
             run((ardehali4, big))
 
 
+def _z_inequality(n):
+    """One setting, Z on every qubit: a sweep of it on n qubits costs little besides its states."""
+    z = standard_observable("Z")
+    return generic_inequality([ProductObservable(1.0, (z,) * n)], [MeasurementSetting((z,) * n)], [0], 0.5)
+
+
 def _fidelity_state(kind, n):
     """An initial state for the fidelity column: GHZ_n (None), the ansatz, a random density matrix, GHZ_n with a
     minus sign, orthogonal to GHZ_n, or a state whose overlap with GHZ_n is one ulp, whose fidelity at p = 0 comes
@@ -706,10 +712,8 @@ class TestFidelityColumn:
     @pytest.mark.parametrize("n, kind", [(n, kind) for n in range(2, 7) for kind in ("ghz", "random", "minus", "below")]
                              + [(4, "ansatz")])
     def test_matches_per_point_fidelities_bitwise(self, n, kind, noise, grid):
-        z = standard_observable("Z")
-        zs = generic_inequality([ProductObservable(1.0, (z,) * n)], [MeasurementSetting((z,) * n)], [0], 0.5)
         state, reference = _fidelity_state(kind, n), ghz_state(n)
-        table = significance_sweep([zs], noise, grid, initial_state=state)
+        table = significance_sweep([_z_inequality(n)], noise, grid, initial_state=state)
         state0 = DensityMatrix.from_pure(reference) if state is None else state
         state0 = DensityMatrix.from_pure(state0) if isinstance(state0, PureState) else state0
         raw = []
@@ -726,6 +730,104 @@ class TestFidelityColumn:
         # a NaN fidelity is inside no range and outside no range: min(max(nan, 0.0), 1.0) is nan
         nan = np.full((2, 2), np.nan, dtype=complex)
         assert math.isnan(fidelity_with_pure(nan, PureState(1, [1.0, 0.0])))
+
+
+def _stacker(n, noise, state):
+    """The sweep evaluator's ``stack(ps)`` from ``state`` on n qubits."""
+    return significance._sweep_evaluator([_z_inequality(n)], noise, [0.0], state, 8000.0)[2]
+
+
+def _hermitian_part(m):
+    return (m + m.conj().T) / 2  # exactly Hermitian: entries ij and ji add the same two numbers
+
+
+@st.composite
+def certified_states(draw):
+    """GHZ, a random pure state (its Hermitian part: ``from_pure``'s outer product rounds the two halves
+    differently), a real pure state, a random mixed state of random rank on 1-6 qubits, or the ansatz."""
+    kind, rng = draw(st.sampled_from(["ghz", "pure", "real", "mixed", "ansatz"])), np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = 4 if kind == "ansatz" else draw(st.integers(2 if kind == "ghz" else 1, 6))
+    if kind in ("ghz", "ansatz"):
+        return n, DensityMatrix.from_pure(ghz_state(n)) if kind == "ghz" else experimental_ansatz(AnsatzParams())
+    if kind == "pure":
+        return n, DensityMatrix(n, _hermitian_part(DensityMatrix.from_pure(random_pure(rng, n)).matrix))
+    if kind == "real":
+        amp = rng.normal(size=2**n)
+        return n, DensityMatrix.from_pure(PureState(n, amp / np.linalg.norm(amp)))
+    g = rng.normal(size=(2**n, draw(st.integers(1, 2**n)))) * np.exp(2j * np.pi * rng.random((2**n, 1)))
+    m = _hermitian_part(g @ g.conj().T)
+    return n, DensityMatrix(n, m / np.trace(m).real)
+
+
+def _ghz_with(n, *changes):
+    """GHZ_n's projector with ``change`` added to entry (i, j) for each ((i, j), change) of ``changes``."""
+    m = ghz_state(n).projector()
+    for (i, j), change in changes:
+        m[i, j] += change
+    return DensityMatrix(n, m)
+
+
+class TestCertifiedStates:
+    # a state that is exactly Hermitian, has |tr - 1| <= trace_one/2 and a Cholesky factor of
+    # rho + psd_clamp/4 I is certified once per sweep or search: no noisy stack of it can fail or change
+    # in _validate_stack (README, "Crossing search", step 1), so the evaluator does not validate its stacks
+    EDGES = [0.0, 5e-324, 1e-17, 1 - 1e-16, 1.0]
+
+    @settings(deadline=None, max_examples=200)
+    @given(state=certified_states(), noise=st.sampled_from(NOISE_FAMILIES), more=st.lists(st.floats(0, 1), max_size=4))
+    def test_validation_passes_noisy_stacks_unchanged(self, state, noise, more):
+        (n, rho), checked = state, []
+        with mock.patch.object(significance, "_validate_stack", side_effect=checked.append):
+            noisy = _stacker(n, noise, rho)(self.EDGES + more)
+        assert not checked  # certified
+        copy = noisy.copy()
+        significance._validate_stack(copy)  # raises nothing
+        assert copy.tobytes() == noisy.tobytes()
+
+    @staticmethod
+    def _count(monkeypatch, run):
+        """(stacks built, stacks validated by the evaluator) in ``run()``."""
+        stacks, checked = [], []
+        noisy_stack, validate = significance._noisy_stack, significance._validate_stack
+        monkeypatch.setattr(significance, "_noisy_stack", lambda m, f, ps: stacks.append(len(ps)) or noisy_stack(m, f, ps))
+        monkeypatch.setattr(significance, "_validate_stack", lambda m: checked.append(len(m)) or validate(m))
+        run()
+        return len(stacks), len(checked)
+
+    @pytest.mark.parametrize("noise, n, state", [
+        ("bitflip", 4, None), ("white", 4, None), ("bitflip", 6, None), ("white", 6, None), ("bitflip", 4, "ansatz"),
+    ])
+    @pytest.mark.parametrize("search", [False, True], ids=["sweep", "crossing"])
+    def test_default_runs_validate_no_chunk(self, monkeypatch, noise, n, state, search):
+        # the default sweeps and the five paper crossings (F* at p* included)
+        initial = experimental_ansatz(AnsatzParams()) if state else None
+        pair = (mermin(n), ardehali(n))
+        run = (lambda: crossing_point(noise, n, initial_state=initial)) if search else (
+            lambda: significance_sweep(pair, noise, np.linspace(*DEFAULT_SPAN[noise], 200), initial_state=initial))
+        stacks, checked = self._count(monkeypatch, run)
+        assert stacks > 0 and checked == 0
+
+    @pytest.mark.parametrize("state", [
+        lambda: _ghz_with(4, ((0, 15), 1e-13)),  # Hermitian to 1e-13, not exactly
+        lambda: _ghz_with(4, ((0, 0), 0.75 * DEFAULT.trace_one)),  # |tr - 1| above trace_one/2
+        lambda: _ghz_with(4, ((0, 0), 0.45e-13), ((15, 15), 0.45e-13), ((1, 1), -0.9e-13)),  # lambda_min -0.9e-13
+        lambda: experimental_ansatz(AnsatzParams(gamma=0.4423236936905418)),  # the factor of rho + psd_clamp/4 I fails
+        lambda: experimental_ansatz(AnsatzParams(gamma=0.44232369369059177)),  # the stacks' factor fails too: eigvalsh
+        lambda: DensityMatrix.from_pure(random_pure(np.random.default_rng(4), 4)),  # rounded outer product
+    ], ids=["hermitian_defect", "trace", "lambda_min", "ansatz_gamma_quarter", "ansatz_gamma_eigvalsh", "complex_pure"])
+    @pytest.mark.parametrize("search", [False, True], ids=["sweep", "crossing"])
+    def test_states_without_a_certificate_validate_every_chunk(self, monkeypatch, state, search):
+        # each stack is validated, the crossing's state at p* included, as before the certificate
+        rho, pair = state(), (mermin(4), ardehali(4))
+
+        def run():
+            with contextlib.suppress(NoCrossingError):  # the random pure state has none
+                if search:
+                    crossing_point("bitflip", initial_state=rho)
+                else:
+                    significance_sweep(pair, "bitflip", np.linspace(0.0, 0.25, 200), initial_state=rho)
+        stacks, checked = self._count(monkeypatch, run)
+        assert checked == stacks >= (1 if search else 4)  # a default sweep's four chunks
 
 
 class TestCrossing:
@@ -921,7 +1023,7 @@ class TestCrossing:
         ps = np.minimum(lo + (hi - lo) * np.array(at), hi)
         search = model.call_args_list[0].args[1:]
         s, bound, unsure = significance._moment_model(ps, *search)
-        _, _, rows, table = significance._sweep_evaluator(ineqs, noise, ps, state, shots)
+        _, _, _, rows, table = significance._sweep_evaluator(ineqs, noise, ps, state, shots)
         exact = table(rows(ps.tolist())[1])[:, 2]
         assert np.all(np.abs(s[:, ~unsure] - exact[:, ~unsure]) <= bound[:, ~unsure])
         if span is None and kind == "ghz":  # the paper searches certify every scan point but p = 0
@@ -984,7 +1086,7 @@ class TestCrossing:
         evaluator, ties = significance._sweep_evaluator, []
 
         def tied(*args):
-            state0, grid, rows, table = evaluator(*args)
+            state0, grid, stack, rows, table = evaluator(*args)
 
             def table_with_ties(probs):
                 out = table(probs)
@@ -992,7 +1094,7 @@ class TestCrossing:
                 out[1, 2, tie] = out[0, 2, tie]
                 ties.append(tie.sum() if tie.size == 1 else 0)
                 return out
-            return state0, grid, rows, table_with_ties
+            return state0, grid, stack, rows, table_with_ties
 
         monkeypatch.setattr(significance, "_sweep_evaluator", tied)
         monkeypatch.setattr(significance, "_gamma", lambda m: math.inf)
@@ -1025,7 +1127,7 @@ def exact_crossing(noise, n, state, shots, span, ineqs, coarse=33):
     its sign model.  Returns (p*, F*)."""
     lo, hi = span or DEFAULT_SPAN[noise]
     state = significance._as_initial_state(state, n)
-    _, grid, rows, table = significance._sweep_evaluator(ineqs, noise, np.linspace(lo, hi, coarse), state, shots)
+    _, grid, _, rows, table = significance._sweep_evaluator(ineqs, noise, np.linspace(lo, hi, coarse), state, shots)
     step = max(1, significance._SCAN_ENTRIES // 4**n)
 
     def signs_at(ps):
