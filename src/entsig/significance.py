@@ -27,8 +27,8 @@ from .inequalities import BellInequality, Witness, _contraction_plan, _gamma, _p
 from .tolerances import DEFAULT
 
 # state entries per chunk of (G, d, d) states: a sweep evaluates every point, so its
-# chunks are big and few (64 points at 4 qubits, 4 at 6); a crossing evaluates only its
-# model's nodes and the points the model cannot certify, in small chunks (16 points and 1)
+# chunks are big and few (64 points at 4 qubits, 4 at 6), as are a crossing's model nodes;
+# the points its model cannot certify are read in small chunks (16 points and 1)
 _SWEEP_ENTRIES = 2**14
 _SCAN_ENTRIES = 2**12
 # count entries of a call's largest table per Monte Carlo block: 128 trials for the
@@ -544,18 +544,18 @@ def _moment_model(ps, nodes, moments, ineqs, copies, terms, eta):
     return s, bound, unsure
 
 
-def _sign_source(ineqs, noise: str, span, coarse: int, initial_state, total_copies: float, step: int):
+def _sign_source(ineqs, noise: str, span, coarse: int, initial_state, total_copies: float):
     """A crossing search's one source of gaps S_first - S_second of ``ineqs``: the evaluator's ``stack``, the
-    ``coarse``-point grid on ``span`` and ``readings(ps, batch)``, which yields each point of ``ps`` in order
-    with its gap, the moment model's where one call certifies it, else read exactly with the next uncertified
-    points, ``batch`` per estimate pass, a node taking its rows (README, "Crossing search", steps 1-4)."""
+    ``coarse``-point grid on ``span`` and ``readings(ps, batch)``, which yields each point of ``ps`` in order with its
+    gap, the model's where one call certifies it, else read exactly with the next uncertified points, ``batch`` per pass,
+    a node taking its rows; the k nodes are read first, in sweep-sized chunks (README, "Crossing search", steps 1-4)."""
     (lo, hi), n, spread, copies, terms = span, ineqs[0].n_qubits, DEFAULT.coeff_spread, [], []
     state0, grid, stack, rows, table = _sweep_evaluator(ineqs, noise, np.linspace(lo, hi, coarse), initial_state, total_copies)
     k, d, m0, coeffs = _NOISE[noise][3](n) + 1, 2**n, state0.matrix, np.concatenate([q.outcome_coeffs for q in ineqs])
     nodes = np.minimum(lo + (hi - lo) * (0.5 - 0.5 * np.cos(np.pi * np.arange(k) / (k - 1))), hi)
-    node_rows = np.full((k, len(coeffs), d), np.nan)
+    node_rows, size = np.full((k, len(coeffs), d), np.nan), max(1, _SWEEP_ENTRIES // d**2)
     with np.errstate(all="ignore"), contextlib.suppress(ValueError):  # refused nodes: NaN rows certify nothing
-        node_rows = np.concatenate([rows(nodes[i:i + step].tolist())[1] for i in range(0, k, step)])
+        node_rows = np.concatenate([rows(nodes[i:i + size].tolist())[1] for i in range(0, k, size)])
     with np.errstate(all="ignore"):
         moments = np.einsum("kso,wso->kws", node_rows, coeffs ** np.arange(3.0)[:, None, None])
         eta = _gamma(d * d + 16 * n + 8) * np.linalg.norm(m0) + 2 * (d + 1) * DEFAULT.psd_clamp + abs(np.trace(m0).real - 1)  # step 1
@@ -599,7 +599,8 @@ def crossing_point(
     """Locate where the pair ``ineqs`` (Mermin and Ardehali by default; ``n`` defaults to its qubit count, 4 for
     the default pair) swaps significance order on ``span`` (the family's ``DEFAULT_SPAN`` by default): the first
     sign change of S_first - S_second on a ``coarse``-point grid (infinities larger than any finite value, ties
-    skipped), bisected to the configured resolution; p* is the all-exact search's to the bit (README)."""
+    skipped), bisected to the configured resolution; p* is the all-exact search's to the bit (README).  The model's
+    nodes are read in sweep-sized chunks, uncertified scan points ``_SCAN_ENTRIES`` state entries at a time."""
     if noise not in _NOISE:
         raise ValueError(f"unknown noise family {noise!r}; expected one of {NOISE_FAMILIES}")
     ineqs = (mermin(4 if n is None else n), ardehali(4 if n is None else n)) if ineqs is None else tuple(ineqs)
@@ -612,14 +613,13 @@ def crossing_point(
         raise ValueError(f"invalid search span {span!r}")
     if isinstance(coarse, (bool, np.bool_)) or not isinstance(coarse, (int, np.integer)) or coarse < 0:
         raise ValueError(f"coarse must be a non-negative integer, got {coarse!r}")
-    step = max(1, _SCAN_ENTRIES // 4**n)
-    stack, grid, readings = _sign_source(ineqs, noise, span, coarse, initial_state, total_copies, step)
+    stack, grid, readings = _sign_source(ineqs, noise, span, coarse, initial_state, total_copies)
 
     def sign(g) -> int:
         return int(g > 0) - int(g < 0)
 
     a, g_a = None, 0.0  # the last scan point with a nonzero sign, and its gap
-    for b, g_b in readings(grid, step):  # up to the first pair of nonzero signs that differ; ties are skipped
+    for b, g_b in readings(grid, max(1, _SCAN_ENTRIES // 4**n)):  # up to the first pair of nonzero signs that differ
         if sign(g_a) * sign(g_b) < 0:
             break
         a, g_a = (b, g_b) if sign(g_b) else (a, g_a)

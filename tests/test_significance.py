@@ -915,9 +915,10 @@ class TestCrossing:
         # the state at p*.  With signs from the certified model, a search builds
         # the k = n + 1 (or 2) interpolation nodes and the state at p*: at most
         # n + 2.  For GHZ at p = 0, where Mermin's error is exactly 0 and S = inf,
-        # the exact fallback takes the rows of the node there.  No call builds
-        # more than a scan chunk (2**12 state entries), and the search builds one
-        # contraction plan.
+        # the exact fallback takes the rows of the node there.  The nodes come
+        # first, in chunks of a sweep (2**14 state entries: all k at 4 qubits,
+        # 4 and 3 at 6); no later call builds more than a scan chunk (2**12
+        # state entries), and the search builds one contraction plan.
         initial = experimental_ansatz(AnsatzParams()) if state else None
         built, plans = [], []
         noisy_stack, contraction_plan = significance._noisy_stack, significance._contraction_plan
@@ -930,7 +931,9 @@ class TestCrossing:
         result = crossing_point(noise, n, initial_state=initial)
         assert (result.p_star, result.fidelity_star) == expected
         assert sum(built) == (n + 1 if noise == "bitflip" else 2) + 1 <= n + 2
-        assert max(built) <= max(1, 2**12 // 4**n)
+        nodes = node_chunks(noise, n)
+        assert built[:len(nodes)] == nodes and max(nodes) <= max(1, 2**14 // 4**n)
+        assert max(built[len(nodes):]) <= max(1, 2**12 // 4**n)
         assert len(plans) == 1
 
     @pytest.mark.parametrize("noise, n, state, tree_passes", [
@@ -963,7 +966,28 @@ class TestCrossing:
         crossing_point(noise, n, initial_state=initial)
         assert len(models) + len(tables) == moment_passes <= chunk_passes < tree_passes
         assert models[0] == 33 > max(models[1:])  # one scan call, on the whole grid; the rest are paths
-        assert max(states) * 4**n <= significance._SCAN_ENTRIES
+        # the nodes in sweep chunks, then every other state (the one at p*) in a scan chunk at most
+        nodes = node_chunks(noise, n)
+        assert states[:len(nodes)] == nodes and max(nodes) * 4**n <= significance._SWEEP_ENTRIES
+        assert max(states[len(nodes):]) * 4**n <= significance._SCAN_ENTRIES
+
+    def test_kernel_and_noise_map_calls_per_paper_round(self, monkeypatch):
+        # the five paper crossings of the crossing benchmark: each search reads its
+        # k nodes in sweep chunks, one kernel call but for the seven 6-qubit
+        # bit-flip nodes (4 and 3 states), and its model certifies every other
+        # point it reads (p = 0 for GHZ takes its node's rows); one more noise map
+        # builds the state at p*
+        kernel, maps = [], []
+        rows, noisy_stack = significance._probability_rows, significance._noisy_stack
+        monkeypatch.setattr(significance, "_probability_rows", lambda m, plan: kernel[-1].append(len(m)) or rows(m, plan))
+        monkeypatch.setattr(significance, "_noisy_stack", lambda m, f, ps: maps[-1].append(len(ps)) or noisy_stack(m, f, ps))
+        for noise, n, state in [("bitflip", 4, None), ("white", 4, None), ("bitflip", 6, None), ("white", 6, None),
+                                ("bitflip", 4, "ansatz")]:
+            kernel.append([])
+            maps.append([])
+            crossing_point(noise, n, initial_state=experimental_ansatz(AnsatzParams()) if state else None)
+        assert kernel == [[5], [2], [4, 3], [2], [5]] and sum(map(len, kernel)) == 6
+        assert maps == [[5, 1], [2, 1], [4, 3, 1], [2, 1], [5, 1]] and sum(map(len, maps)) == 11
 
     @pytest.mark.parametrize("noise, n, state, states_built, passes", [
         ("bitflip", 4, None, 34, 14),
@@ -1119,6 +1143,13 @@ def parity_pair(n):
         a_terms += [(labels + "A", -c if y[mask] % 2 else c), (labels + "B", c)]
     pair = _parity_inequality(f"mermin{n}", "M", n, m_terms, 0.0), _parity_inequality(f"ardehali{n}", "A", n, a_terms, 0.0)
     return tuple(dataclasses.replace(q, lhv_bound=lhv_bound_bruteforce(q)) for q in pair)
+
+
+def node_chunks(noise, n):
+    """The stack sizes in which a search reads its k = degree + 1 interpolation nodes:
+    chunks of a sweep's ``_SWEEP_ENTRIES`` state entries, the last one shorter."""
+    k, size = (n + 1 if noise == "bitflip" else 2), max(1, significance._SWEEP_ENTRIES // 4**n)
+    return [min(size, k - i) for i in range(0, k, size)]
 
 
 def exact_crossing(noise, n, state, shots, span, ineqs, coarse=33):
